@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -28,8 +27,10 @@ from termsift import __version__
 from termsift import corpus as corpus_io
 from termsift import weighting, wordnet
 from termsift.errors import TermsiftError, UndefinedEntryError
-from termsift.pipeline import LOG_BASES, PipelineConfig, run_pipeline
-from termsift.textprep import porter_stem, preprocess_corpus
+from termsift.pipeline import (
+    LOG_BASES, WORDNET_POLICIES, PipelineConfig, export_weights, run_chain, run_pipeline,
+)
+from termsift.textprep import porter_stem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,15 +58,15 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layout", choices=corpus_io.LAYOUTS)
     p.add_argument("--stopwords", help="stopword file (default: bundled list)")
     p.add_argument("--wordnet-dir", help=f"WordNet database directory (default: ${WORDNET_ENV})")
-    p.add_argument("--wordnet-policy", choices=("annotate-only", "filter-nonwordnet", "off"))
+    p.add_argument("--wordnet-policy", choices=WORDNET_POLICIES)
     p.add_argument("--alpha", type=float, help="minimum tf-idf threshold")
     p.add_argument("--beta", type=float, help="minimum tf-df threshold")
     p.add_argument("--gamma", type=float, help="minimum tf2 threshold")
-    p.add_argument("--aggregation", choices=("max", "mean", "any-doc"))
+    p.add_argument("--aggregation", choices=weighting.AGGREGATIONS)
     p.add_argument("--log-base", choices=sorted(LOG_BASES))
     p.add_argument("--min-count", type=int, help="corpus frequency floor for terms")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--format", choices=("csv", "coordinate-triplet"),
+    p.add_argument("--format", choices=weighting.EXPORT_FORMATS,
                    help="matrix export format")
     p.add_argument("--config", help="flat key=value config file; flags override it")
 
@@ -112,63 +113,37 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# config-file key (also the flag's dest) -> PipelineConfig field, value type
 _CONFIG_KEYS = {
-    "corpus": str, "layout": str, "stopwords": str, "wordnet_dir": str,
-    "wordnet_policy": str, "alpha": float, "beta": float, "gamma": float,
-    "aggregation": str, "log_base": str, "min_count": int, "out": str, "format": str,
+    "corpus": ("corpus_path", str), "layout": ("layout", str),
+    "stopwords": ("stopword_path", str), "wordnet_dir": ("wordnet_dir", str),
+    "wordnet_policy": ("wordnet_policy", str), "alpha": ("alpha", float),
+    "beta": ("beta", float), "gamma": ("gamma", float), "aggregation": ("aggregation", str),
+    "log_base": ("log_base", str), "min_count": ("min_count", int),
+    "out": ("out_dir", str), "format": ("matrix_format", str),
 }
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    file_values: dict[str, object] = {}
+    """Flags win over the config file; unset fields keep PipelineConfig's defaults."""
+    values: dict[str, object] = {}
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r} in {args.config}")
-            file_values[key] = _CONFIG_KEYS[key](raw)
-
-    def pick(flag_name: str, file_key: str, default):
-        value = getattr(args, flag_name, None)
-        if value is not None:
-            return value
-        if file_key in file_values:
-            return file_values[file_key]
-        return default
-
-    corpus_path = args.corpus_pos or pick("corpus", "corpus", None)
-    if corpus_path is None:
+            values[key] = _CONFIG_KEYS[key][1](raw)
+    values.update({key: getattr(args, key) for key in _CONFIG_KEYS
+                   if getattr(args, key, None) is not None})
+    if args.corpus_pos:
+        values["corpus"] = args.corpus_pos
+    if "corpus" not in values:
         raise _UsageExit("a corpus directory is required (positional or --corpus)")
-    wordnet_dir = pick("wordnet_dir", "wordnet_dir", os.environ.get(WORDNET_ENV))
-    return PipelineConfig(
-        corpus_path=str(corpus_path),
-        layout=pick("layout", "layout", "flat"),
-        stopword_path=pick("stopwords", "stopwords", None),
-        wordnet_dir=wordnet_dir,
-        wordnet_policy=pick("wordnet_policy", "wordnet_policy", "annotate-only"),
-        alpha=pick("alpha", "alpha", 0.028),
-        beta=pick("beta", "beta", 0.01),
-        gamma=pick("gamma", "gamma", 0.005),
-        aggregation=pick("aggregation", "aggregation", "max"),
-        log_base=pick("log_base", "log_base", "e"),
-        min_count=pick("min_count", "min_count", 1),
-        out_dir=pick("out", "out", "termsift-out"),
-        matrix_format=pick("format", "format", "coordinate-triplet"),
-    )
-
-
-def _load_inputs(config: PipelineConfig):
-    corpus = corpus_io.load_corpus(config.corpus_path, config.layout)
-    if config.stopword_path is not None:
-        stopwords = corpus_io.load_stopwords(config.stopword_path)
-    else:
-        stopwords = corpus_io.default_stopwords()
-    return corpus, stopwords
+    values.setdefault("wordnet_dir", os.environ.get(WORDNET_ENV))
+    return PipelineConfig(**{_CONFIG_KEYS[key][0]: value for key, value in values.items()})
 
 
 def _cmd_stats(args) -> int:
-    config = _resolve_config(args)
-    corpus, _ = _load_inputs(config)
-    s = corpus_io.corpus_summary(corpus)
+    s = run_chain(_resolve_config(args), last_step=1).stats
     print(f"dataset\t{s.name}")
     print(f"documents\t{s.documents}")
     print(f"classes\t{s.classes}")
@@ -178,10 +153,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    config = _resolve_config(args)
-    corpus, stopwords = _load_inputs(config)
-    vectors, _ = preprocess_corpus(corpus, stopwords)
-    for v in vectors:
+    for v in run_chain(_resolve_config(args), last_step=3).terms.vectors:
         for term in sorted(v.counts):
             print(f"{v.doc_id},{term},{v.counts[term]}")
     return EXIT_OK
@@ -189,16 +161,9 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_weigh(args) -> int:
     config = _resolve_config(args)
-    corpus, stopwords = _load_inputs(config)
-    vectors, _ = preprocess_corpus(corpus, stopwords)
-    index = weighting.build_index(vectors)
-    matrix = weighting.compute_matrix(index, args.scheme, log_base=LOG_BASES[config.log_base])
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if config.matrix_format == "csv" else "triplets"
-    path = weighting.export_matrix(matrix, out_dir / f"matrix_{args.scheme}.{ext}",
-                                   fmt=config.matrix_format)
-    print(path)
+    result = run_chain(config, last_step=6, schemes=(args.scheme,))
+    paths = export_weights(Path(config.out_dir), result.matrices, config.matrix_format)
+    print(paths[f"matrix_{args.scheme}"])
     return EXIT_OK
 
 

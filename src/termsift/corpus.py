@@ -97,7 +97,11 @@ def _scan_manifest(root: Path) -> list[RawDocument]:
     if not manifest.is_file():
         raise FileNotFoundError(f"manifest file not found: {manifest}")
     docs = []
-    for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(manifest.read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{manifest}:{lineno}: not valid UTF-8") from exc
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -165,27 +169,22 @@ def default_stopwords() -> StopwordList:
         return load_stopwords(path)
 
 
-def corpus_summary(corpus: DocumentSet) -> DatasetStats:
+def corpus_summary(corpus: DocumentSet, token_counts: list[int]) -> DatasetStats:
     """Document/class counts, largest class size and mean token length.
 
-    Average length counts tokens before stopword removal and rounds half
-    up to the nearest integer.
+    ``token_counts`` holds each document's token count before stopword
+    removal (pipeline step 1); their mean is rounded half up to the
+    nearest integer.
     """
-    from termsift.textprep import tokenize
-
     n = len(corpus)
-    if n == 0:
-        return DatasetStats(corpus.name, 0, 0, 0, 0)
     by_class: dict[str, int] = {}
     for d in corpus:
         if d.class_label is not None:
             by_class[d.class_label] = by_class.get(d.class_label, 0) + 1
-    total_tokens = sum(len(tokenize(d.text)) for d in corpus)
-    avg = (2 * total_tokens + n) // (2 * n)
     return DatasetStats(
         name=corpus.name,
         documents=n,
         classes=len(by_class),
         largest_class=max(by_class.values(), default=0),
-        avg_doc_length=avg,
+        avg_doc_length=(2 * sum(token_counts) + n) // (2 * n) if n else 0,
     )

@@ -5,6 +5,10 @@ stopwords, (3) Porter-stem, (4) WordNet category annotation (skippable),
 (5) global unique words + frequency floor, (6) the three weight matrices,
 (7) threshold selection. Each stage is logged, so a run's log shows the
 seven steps in order.
+
+``extract_terms`` (steps 1-3), ``build_vocabulary`` (4-5), ``compute_weights``
+(6) and ``select_terms`` (7) run in sequence under ``run_chain``, which
+every CLI subcommand that reads a corpus calls for a prefix of the chain.
 """
 
 from __future__ import annotations
@@ -51,37 +55,41 @@ class PipelineConfig:
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.wordnet_policy not in WORDNET_POLICIES:
             raise ValueError(f"unknown wordnet policy {self.wordnet_policy!r}")
-        if self.aggregation not in ("max", "mean", "any-doc"):
+        if self.aggregation not in weighting.AGGREGATIONS:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.log_base not in LOG_BASES:
             raise ValueError(f"log base must be one of {sorted(LOG_BASES)}")
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")
-        if not Path(self.corpus_path).is_dir():
-            raise FileNotFoundError(
-                f"stage load_corpus: corpus root is not a directory: {self.corpus_path}"
-            )
-        if self.stopword_path is not None and not Path(self.stopword_path).is_file():
-            raise FileNotFoundError(
-                f"stage load_stopwords: stopword file not found: {self.stopword_path}"
-            )
-        if self.wordnet_dir is not None and not Path(self.wordnet_dir).is_dir():
-            raise FileNotFoundError(
-                f"stage load_wordnet: WordNet directory not found: {self.wordnet_dir}"
-            )
+        if self.matrix_format not in weighting.EXPORT_FORMATS:
+            raise ValueError(f"unknown matrix format {self.matrix_format!r}")
+
+
+@dataclass
+class TermVectors:
+    """Steps 1-3: stemmed counts per document, stem -> surface forms, and
+    each document's token count before stop-word removal."""
+
+    vectors: list[TermVector]
+    originals: dict[str, set[str]]
+    token_counts: list[int]
 
 
 @dataclass
 class PipelineResult:
+    """What a run of the chain produced; stages the run did not reach stay empty."""
+
     stats: corpus_io.DatasetStats
-    key_terms: dict[str, weighting.KeyTermSet]  # per scheme
-    joint: weighting.KeyTermSet
-    rows: list[report_mod.ReductionRow]
+    stopwords: corpus_io.StopwordList | None = None
+    db: wordnet.WordNetDb | None = None
+    terms: TermVectors | None = None  # kept only when the chain ends at step 3
+    index: weighting.CorpusIndex | None = None
+    annotations: dict[str, wordnet.LexEntry] = field(default_factory=dict)
+    matrices: dict[str, weighting.WeightMatrix] = field(default_factory=dict)
+    key_terms: dict[str, weighting.KeyTermSet] = field(default_factory=dict)  # per scheme
+    joint: weighting.KeyTermSet | None = None
+    rows: list[report_mod.ReductionRow] = field(default_factory=list)
     artifacts: dict[str, Path] = field(default_factory=dict)
-
-
-def _stage(msg: str) -> None:
-    log.info(msg)
 
 
 @contextmanager
@@ -94,63 +102,45 @@ def _stage_errors(name: str):
         raise
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    config.validate()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    with _stage_errors("load_corpus"):
-        corpus = corpus_io.load_corpus(config.corpus_path, config.layout)
-    with _stage_errors("load_stopwords"):
-        if config.stopword_path is not None:
-            stopwords = corpus_io.load_stopwords(config.stopword_path)
-        else:
-            stopwords = corpus_io.default_stopwords()
-    log.info("loaded corpus %s: %d documents; stopword list: %d words",
-             corpus.name, len(corpus), len(stopwords))
-
-    db = None
-    if config.wordnet_policy != "off":
-        if config.wordnet_dir is None:
-            log.warning("no WordNet directory configured; step 4 will be skipped "
-                        "(wordnet-policy is effectively 'off')")
-        else:
-            with _stage_errors("load_wordnet"):
-                db = wordnet.load_wordnet(config.wordnet_dir)
-            log.info("loaded WordNet %s: %d lemmas, %d synsets",
-                     db.version, db.lemma_count, db.synset_count)
-    stats = corpus_io.corpus_summary(corpus)
-
-    _stage("step 1/7: extracting term sets (tokenization)")
+def extract_terms(corpus: corpus_io.DocumentSet, stopwords: corpus_io.StopwordList) -> TermVectors:
+    """Steps 1-3: tokenize, drop stop words (matched on surface forms), stem."""
+    log.info("step 1/7: extracting term sets (tokenization)")
     tokenized = [tokenize(d.text) for d in corpus]
+    token_counts = [len(tokens) for tokens in tokenized]
 
-    _stage("step 2/7: removing stop words")
-    filtered = [remove_stopwords(tokens, stopwords) for tokens in tokenized]
+    log.info("step 2/7: removing stop words")
+    tokenized = [remove_stopwords(tokens, stopwords) for tokens in tokenized]
 
-    _stage("step 3/7: applying Porter stemming")
+    log.info("step 3/7: applying Porter stemming")
     vectors: list[TermVector] = []
     originals: dict[str, set[str]] = {}
-    for doc, tokens in zip(corpus, filtered):
+    for doc, tokens in zip(corpus, tokenized):
         stems = []
         for token in tokens:
             s = porter_stem(token)
             stems.append(s)
             originals.setdefault(s, set()).add(token)
         vectors.append(TermVector(doc_id=doc.doc_id, counts=dict(Counter(stems)), total=len(stems)))
+    return TermVectors(vectors=vectors, originals=originals, token_counts=token_counts)
 
+
+def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: PipelineConfig
+                     ) -> tuple[weighting.CorpusIndex, dict[str, wordnet.LexEntry]]:
+    """Steps 4-5: WordNet annotation (and filtering), then the frequency floor."""
+    vectors = terms.vectors
     annotations: dict[str, wordnet.LexEntry] = {}
     if db is not None:
-        _stage(f"step 4/7: WordNet lexical-category annotation (policy={config.wordnet_policy})")
+        log.info(f"step 4/7: WordNet lexical-category annotation (policy={config.wordnet_policy})")
         before = len({t for v in vectors for t in v.counts})
         vectors, annotations = wordnet.annotate_terms(
-            db, vectors, originals, policy=config.wordnet_policy
+            db, vectors, terms.originals, policy=config.wordnet_policy
         )
         after = len({t for v in vectors for t in v.counts})
         log.info("vocabulary: %d terms before WordNet step, %d after", before, after)
     else:
         log.info("step 4/7 skipped (wordnet off)")
 
-    _stage("step 5/7: global unique words and frequency floor")
+    log.info("step 5/7: global unique words and frequency floor")
     with _stage_errors("build_index"):
         index = weighting.build_index(vectors)
     if config.min_count > 1:
@@ -164,38 +154,109 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             for v in vectors
         ]
         index = weighting.build_index(vectors)
+    return index, annotations
 
-    _stage("step 6/7: computing tf-idf, tf-df and tf2 weight matrices")
+
+def compute_weights(index: weighting.CorpusIndex, config: PipelineConfig,
+                    schemes=weighting.SCHEMES) -> dict[str, weighting.WeightMatrix]:
+    """Step 6: one weight matrix per requested scheme."""
+    if schemes == weighting.SCHEMES:
+        log.info("step 6/7: computing tf-idf, tf-df and tf2 weight matrices")
+    else:
+        log.info(f"step 6/7: computing the {', '.join(schemes)} weight matrix")
     base = LOG_BASES[config.log_base]
     with _stage_errors("compute_matrices"):
-        matrices = {s: weighting.compute_matrix(index, s, log_base=base)
-                    for s in weighting.SCHEMES}
+        return {s: weighting.compute_matrix(index, s, log_base=base) for s in schemes}
 
-    _stage("step 7/7: selecting key terms against the thresholds")
+
+def select_terms(matrices: dict[str, weighting.WeightMatrix], config: PipelineConfig
+                 ) -> tuple[dict[str, weighting.KeyTermSet], weighting.KeyTermSet]:
+    """Step 7: key terms per scheme against its threshold, and the joint set."""
+    log.info("step 7/7: selecting key terms against the thresholds")
     thresholds = weighting.Thresholds(config.alpha, config.beta, config.gamma)
     agg = config.aggregation
     key_terms = {
         s: weighting.select_key_terms(m, thresholds.for_scheme(s), agg)
         for s, m in matrices.items()
     }
-    joint = weighting.select_joint(matrices.values(), thresholds, agg)
+    return key_terms, weighting.select_joint(matrices.values(), thresholds, agg)
 
-    rows = [
-        report_mod.make_reduction_row(corpus.name, s, thresholds.for_scheme(s), index, kd)
-        for s, kd in key_terms.items()
+
+def run_chain(config: PipelineConfig, last_step: int = 7,
+              schemes=weighting.SCHEMES) -> PipelineResult:
+    """Validate ``config`` and run the chain through ``last_step``: 1 (the corpus
+    summary's token counts), 3, 6 or 7. A prefix loads only the inputs it uses;
+    ``schemes`` limits step 6 to the matrices a caller exports."""
+    config.validate()
+    with _stage_errors("load_corpus"):
+        corpus = corpus_io.load_corpus(config.corpus_path, config.layout)
+    if last_step == 1:
+        token_counts = [len(tokenize(d.text)) for d in corpus]
+        return PipelineResult(stats=corpus_io.corpus_summary(corpus, token_counts))
+
+    with _stage_errors("load_stopwords"):
+        if config.stopword_path is not None:
+            stopwords = corpus_io.load_stopwords(config.stopword_path)
+        else:
+            stopwords = corpus_io.default_stopwords()
+    log.info("loaded corpus %s: %d documents; stopword list: %d words",
+             corpus.name, len(corpus), len(stopwords))
+    db = None
+    if last_step > 3 and config.wordnet_policy != "off":
+        if config.wordnet_dir is None:
+            log.warning("no WordNet directory configured; step 4 will be skipped "
+                        "(wordnet-policy is effectively 'off')")
+        else:
+            with _stage_errors("load_wordnet"):
+                db = wordnet.load_wordnet(config.wordnet_dir)
+            log.info("loaded WordNet %s: %d lemmas, %d synsets",
+                     db.version, db.lemma_count, db.synset_count)
+
+    terms = extract_terms(corpus, stopwords)
+    result = PipelineResult(stats=corpus_io.corpus_summary(corpus, terms.token_counts),
+                            stopwords=stopwords, db=db)
+    if last_step == 3:
+        result.terms = terms
+        return result
+    result.index, result.annotations = build_vocabulary(terms, db, config)
+    del terms  # the floored index replaces the step-3 vectors and surface forms
+    result.matrices = compute_weights(result.index, config, schemes)
+    if last_step == 6:
+        return result
+    result.key_terms, result.joint = select_terms(result.matrices, config)
+    return result
+
+
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
+    """The whole chain, then the reduction reports and every artifact in ``out_dir``."""
+    result = run_chain(config)
+    result.rows = [
+        report_mod.make_reduction_row(result.stats.name, s, kd.threshold, result.index, kd)
+        for s, kd in [*result.key_terms.items(), ("joint", result.joint)]
     ]
-    rows.append(report_mod.make_reduction_row(corpus.name, "joint", None, index, joint))
-
     with _stage_errors("write_outputs"):
-        artifacts = _write_outputs(
-            out_dir, config, stats, rows, matrices, key_terms, joint, stopwords, db, annotations
-        )
-    return PipelineResult(stats=stats, key_terms=key_terms, joint=joint, rows=rows,
-                          artifacts=artifacts)
+        result.artifacts = _write_outputs(config, result)
+    return result
 
 
-def _write_outputs(out_dir, config, stats, rows, matrices, key_terms, joint,
-                   stopwords, db, annotations) -> dict[str, Path]:
+def export_weights(out_dir: Path, matrices: dict[str, weighting.WeightMatrix], fmt: str,
+                   key_terms: dict[str, weighting.KeyTermSet] | None = None) -> dict[str, Path]:
+    """Write ``matrix_<scheme>.<ext>`` per matrix, restricted to ``key_terms`` if given."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ext = "csv" if fmt == "csv" else "triplets"
+    artifacts: dict[str, Path] = {}
+    for scheme, matrix in matrices.items():
+        path = out_dir / f"matrix_{scheme}.{ext}"
+        weighting.export_matrix(matrix, path, fmt=fmt,
+                                key_terms=None if key_terms is None else key_terms[scheme])
+        artifacts[f"matrix_{scheme}"] = path
+    return artifacts
+
+
+def _write_outputs(config: PipelineConfig, result: PipelineResult) -> dict[str, Path]:
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stopwords, db = result.stopwords, result.db
     artifacts: dict[str, Path] = {}
     # metadata goes first: no report counts as final without it
     meta = report_mod.RunMetadata(
@@ -219,26 +280,23 @@ def _write_outputs(out_dir, config, stats, rows, matrices, key_terms, joint,
     for fmt, filename in (("plain-text", "report.txt"), ("csv", "report.csv"),
                           ("json", "report.json")):
         path = out_dir / filename
-        path.write_text(report_mod.render_tables(rows, [stats], fmt), encoding="utf-8")
+        path.write_text(report_mod.render_tables(result.rows, [result.stats], fmt),
+                        encoding="utf-8")
         artifacts[filename] = path
 
-    ext = "csv" if config.matrix_format == "csv" else "triplets"
-    for scheme, matrix in matrices.items():
-        path = out_dir / f"matrix_{scheme}.{ext}"
-        weighting.export_matrix(matrix, path, fmt=config.matrix_format,
-                                key_terms=key_terms[scheme])
-        artifacts[f"matrix_{scheme}"] = path
+    artifacts.update(export_weights(out_dir, result.matrices, config.matrix_format,
+                                    key_terms=result.key_terms))
 
-    for name, kd in list(key_terms.items()) + [("joint", joint)]:
+    for name, kd in list(result.key_terms.items()) + [("joint", result.joint)]:
         path = out_dir / f"keyterms_{name}.txt"
         path.write_text("\n".join(sorted(kd.terms)) + "\n", encoding="utf-8")
         artifacts[f"keyterms_{name}"] = path
 
-    if annotations:
+    if result.annotations:
         path = out_dir / "lexical_categories.tsv"
         lines = [
             f"{term}\t{','.join(sorted(entry.categories)) or '-'}"
-            for term, entry in sorted(annotations.items())
+            for term, entry in sorted(result.annotations.items())
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         artifacts["lexical_categories"] = path

@@ -1,4 +1,8 @@
-"""Tokenization, stopword removal and stemming into term-frequency vectors.
+"""The per-document text steps: tokenization, stopword removal and Porter
+stemming, plus ``TermVector``, the per-document term counts they yield.
+
+They work on one document; ``pipeline.extract_terms`` applies them to a
+whole corpus as steps 1-3 of the pipeline.
 
 ``porter_stem`` resolves to the compiled extension when it was built, and
 to the pure-Python module otherwise; both implement the identical
@@ -8,11 +12,10 @@ algorithm (see ``benchmarks/bench_stemmer.py`` for the speed difference).
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from termsift.corpus import RawDocument, StopwordList
+from termsift.corpus import StopwordList
 
 try:
     from termsift._porter import stem as porter_stem
@@ -42,32 +45,3 @@ def tokenize(text: str) -> list[str]:
 
 def remove_stopwords(tokens: Iterable[str], stopwords: StopwordList) -> list[str]:
     return [t for t in tokens if t not in stopwords]
-
-
-def preprocess_document(doc: RawDocument, stopwords: StopwordList) -> TermVector:
-    """tokenize -> remove stopwords -> stem, counted into a TermVector."""
-    stems = [porter_stem(t) for t in remove_stopwords(tokenize(doc.text), stopwords)]
-    counts = Counter(stems)
-    return TermVector(doc_id=doc.doc_id, counts=dict(counts), total=len(stems))
-
-
-def preprocess_corpus(
-    docs: Iterable[RawDocument], stopwords: StopwordList
-) -> tuple[list[TermVector], dict[str, set[str]]]:
-    """Preprocess every document, also collecting stem -> surface forms.
-
-    The surface-form map feeds WordNet lookup, where a Porter stem like
-    "poni" is not itself a lemma but its surfaces ("pony", "ponies") are.
-    """
-    vectors = []
-    originals: dict[str, set[str]] = {}
-    for doc in docs:
-        surviving = remove_stopwords(tokenize(doc.text), stopwords)
-        stems = []
-        for token in surviving:
-            s = porter_stem(token)
-            stems.append(s)
-            originals.setdefault(s, set()).add(token)
-        counts = Counter(stems)
-        vectors.append(TermVector(doc_id=doc.doc_id, counts=dict(counts), total=len(stems)))
-    return vectors, originals

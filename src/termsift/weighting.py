@@ -23,6 +23,7 @@ from termsift.textprep import TermVector
 
 SCHEMES = ("tfidf", "tfdf", "tf2")
 AGGREGATIONS = ("max", "mean", "any-doc")
+EXPORT_FORMATS = ("csv", "coordinate-triplet")
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,12 @@ import logging
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +305,16 @@ def runs(minicorpus_dir, wordnet_dir, tmp_path_factory):
 
 
 class TestC7GoldenRun:
+    def test_golden_values_are_the_oracles(self):
+        oracle = Path(__file__).resolve().parent.parent / "tools" / "golden_oracle.py"
+        done = subprocess.run([sys.executable, str(oracle)], capture_output=True, text=True,
+                              check=True)
+        printed = {}
+        for line in done.stdout.splitlines():
+            key, _, value = line.partition(" = ")
+            printed[key.removeprefix("kd_")] = int(value.split()[0])
+        assert printed == GOLDEN
+
     def test_runtime_under_five_seconds(self, runs):
         _, elapsed = runs
         assert max(elapsed) < 5.0

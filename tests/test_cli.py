@@ -55,6 +55,8 @@ class TestStats:
         assert fields["documents"] == "6"
         assert fields["classes"] == "2"
         assert fields["largest_class"] == "3"
+        # step-1 tokens per document: 9 words plus 3, 4 or 5 repeats of "word"
+        assert fields["avg_doc_length"] == "13"
 
     def test_nonexistent_corpus(self, capsys, tmp_path):
         code, _, err = run(capsys, "stats", str(tmp_path / "missing"))
@@ -90,6 +92,43 @@ class TestPreprocess:
         assert not any(",wheat," in l for l in out_custom.splitlines())
         # with the one-word custom list, "the"/"and" survive
         assert any(",the," in l for l in out_custom.splitlines())
+
+
+PIPELINE_COMMANDS = ("stats", "preprocess", "weigh", "select")
+
+
+class TestValidation:
+    @pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+    @pytest.mark.parametrize("bad", (["--alpha", "-1"], ["--min-count", "0"]))
+    def test_every_pipeline_command_validates(self, capsys, corpus, tmp_path, command, bad):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, command, str(corpus), "--layout", "class-subdirectories",
+                           "--out", str(out_dir), *bad)
+        assert code == EXIT_DATA
+        assert "error" in err
+        assert not out_dir.exists()
+
+    def test_config_file_format_is_validated_before_any_output(self, capsys, corpus,
+                                                                tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = bogus\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "select", str(corpus), "--layout", "class-subdirectories",
+                           "--config", str(cfg), "--out", str(out_dir))
+        assert code == EXIT_DATA
+        assert "bogus" in err
+        assert not out_dir.exists()
+
+    def test_invalid_utf8_manifest_names_file_line_and_stage(self, capsys, tmp_path):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "a.txt").write_text("wheat")
+        (root / "manifest.tsv").write_bytes(b"a\tc\ta.txt\nb\tc\xff\ta.txt\n")
+        for command in ("stats", "select"):
+            code, _, err = run(capsys, command, str(root), "--layout", "manifest-file",
+                               "--out", str(tmp_path / "out"))
+            assert code == EXIT_DATA
+            assert f"stage load_corpus: {root / 'manifest.tsv'}:2: not valid UTF-8" in err
 
 
 class TestStemAndLex:
@@ -218,3 +257,53 @@ class TestConfigFile:
     def test_missing_config(self, capsys, corpus, tmp_path):
         missing = tmp_path / "nope.cfg"
         assert run(capsys, "stats", str(corpus), "--config", str(missing))[0] == EXIT_DATA
+
+
+class TestWeighSelectParity:
+    """``weigh`` runs the same steps 1-6 as ``select`` on the same configuration."""
+
+    # (wordnet policy, vocabulary size on the bundled corpus at --min-count 5)
+    @pytest.fixture(params=[("off", 126), ("filter-nonwordnet", 22)])
+    def case(self, request, minicorpus_dir, wordnet_dir, monkeypatch):
+        monkeypatch.delenv("WNSEARCHDIR", raising=False)
+        policy, vocabulary = request.param
+        flags = [str(minicorpus_dir), "--layout", "class-subdirectories", "--min-count", "5",
+                 "--wordnet-dir", str(wordnet_dir), "--wordnet-policy", policy]
+        return flags, vocabulary
+
+    @pytest.mark.parametrize("scheme", ("tfidf", "tfdf", "tf2"))
+    def test_weigh_has_selects_vocabulary_and_weights(self, capsys, tmp_path, case, scheme):
+        flags, vocabulary = case
+        code, out, _ = run(capsys, "select", *flags, "--out", str(tmp_path / "select"))
+        assert code == EXIT_OK
+        rows = dict(line.split("\t", 1) for line in out.splitlines() if "\t" in line)
+        assert f"\tterms={vocabulary}\t" in rows[scheme]
+        code, _, _ = run(capsys, "weigh", *flags, "--scheme", scheme,
+                         "--out", str(tmp_path / "weigh"))
+        assert code == EXIT_OK
+        weigh_lines = (tmp_path / "weigh" / f"matrix_{scheme}.triplets").read_text().splitlines()
+        assert len({line.split(",")[1] for line in weigh_lines}) == vocabulary
+        select_lines = (tmp_path / "select" / f"matrix_{scheme}.triplets").read_text()
+        assert select_lines.strip()
+        assert set(select_lines.splitlines()) <= set(weigh_lines)
+
+    def test_preprocess_prints_the_vectors_select_weighs(self, capsys, tmp_path,
+                                                         minicorpus_dir, monkeypatch):
+        from termsift import weighting
+
+        monkeypatch.delenv("WNSEARCHDIR", raising=False)
+        indexed = []
+        build_index = weighting.build_index
+
+        def spy(vectors):
+            indexed.append(list(vectors))
+            return build_index(vectors)
+
+        monkeypatch.setattr(weighting, "build_index", spy)
+        flags = [str(minicorpus_dir), "--layout", "class-subdirectories"]
+        code, _, _ = run(capsys, "select", *flags, "--out", str(tmp_path))
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, "preprocess", *flags)
+        assert code == EXIT_OK
+        expected = [f"{v.doc_id},{t},{v.counts[t]}" for v in indexed[0] for t in sorted(v.counts)]
+        assert out.splitlines() == expected

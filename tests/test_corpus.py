@@ -112,27 +112,28 @@ class TestSummary:
         for cls, sizes in (("one", 12), ("two", 8)):
             for i in range(sizes):
                 write(tmp_path / cls / f"d{i}.txt", "alpha beta gamma")
-        stats = corpus_summary(load_corpus(tmp_path, "class-subdirectories"))
+        stats = corpus_summary(load_corpus(tmp_path, "class-subdirectories"), [3] * 20)
         assert stats.documents == 20
         assert stats.classes == 2
         assert stats.largest_class == 12
         assert stats.avg_doc_length == 3
 
     def test_average_is_mean_rounded_half_up(self, tmp_path):
-        write(tmp_path / "a.txt", " ".join(["tok"] * 10))
-        write(tmp_path / "b.txt", " ".join(["tok"] * 20))
-        write(tmp_path / "c.txt", " ".join(["tok"] * 30))
-        assert corpus_summary(load_corpus(tmp_path)).avg_doc_length == 20
-        write(tmp_path / "d.txt", " ".join(["tok"] * 3))
+        for name in ("a.txt", "b.txt", "c.txt"):
+            write(tmp_path / name, "tok")
+        assert corpus_summary(load_corpus(tmp_path), [10, 20, 30]).avg_doc_length == 20
+        write(tmp_path / "d.txt", "tok")
         # mean 63/4 = 15.75 -> 16
-        assert corpus_summary(load_corpus(tmp_path)).avg_doc_length == 16
+        assert corpus_summary(load_corpus(tmp_path), [10, 20, 30, 3]).avg_doc_length == 16
+        # mean 2.5 rounds up to 3
+        assert corpus_summary(load_corpus(tmp_path), [1, 2, 3, 4]).avg_doc_length == 3
 
     def test_empty_corpus_stats(self):
         from termsift.corpus import DocumentSet
 
-        stats = corpus_summary(DocumentSet(name="x", documents=()))
+        stats = corpus_summary(DocumentSet(name="x", documents=()), [])
         assert stats == DatasetStats("x", 0, 0, 0, 0)
 
     def test_document_count_matches_exactly(self, minicorpus_dir):
         corpus = load_corpus(minicorpus_dir, "class-subdirectories")
-        assert corpus_summary(corpus).documents == len(corpus)
+        assert corpus_summary(corpus, [0] * len(corpus)).documents == len(corpus)

@@ -2,7 +2,12 @@ import logging
 
 import pytest
 
-from termsift.pipeline import PipelineConfig, run_pipeline
+from termsift import corpus as corpus_io
+from termsift import wordnet
+from termsift.corpus import DocumentSet, RawDocument, StopwordList
+from termsift.pipeline import PipelineConfig, extract_terms, run_chain, run_pipeline
+
+SW = StopwordList(words=frozenset({"the", "of", "and", "a", "is"}))
 
 
 @pytest.fixture()
@@ -22,6 +27,52 @@ def corpus(tmp_path):
 
 def config_for(corpus, tmp_path, **kw):
     return PipelineConfig(corpus_path=str(corpus), out_dir=str(tmp_path / "out"), **kw)
+
+
+def extract(*docs, stopwords=SW):
+    return extract_terms(DocumentSet(name="c", documents=docs), stopwords)
+
+
+class TestExtractTerms:
+    """Steps 1-3 through ``extract_terms``."""
+
+    def test_document_vector(self):
+        terms = extract(RawDocument("d1", "The running dogs and the jumping dogs."))
+        (v,) = terms.vectors
+        assert v.doc_id == "d1"
+        assert v.counts == {"run": 1, "dog": 2, "jump": 1}
+        assert v.total == 4
+
+    def test_total_is_count_sum(self):
+        (v,) = extract(RawDocument("d", "wheat wheat barley the of and")).vectors
+        assert v.total == sum(v.counts.values()) == 3
+
+    def test_corpus_surface_map(self):
+        terms = extract(RawDocument("a", "ponies run"), RawDocument("b", "pony runs"))
+        assert len(terms.vectors) == 2
+        assert terms.originals["poni"] == {"ponies", "pony"}
+        assert terms.originals["run"] == {"run", "runs"}
+
+    def test_vectors_independent_of_other_documents(self):
+        docs = [RawDocument(f"d{i}", f"harvest market grain grain x{i}ing") for i in range(4)]
+        together = extract(*docs).vectors
+        assert together == [extract(doc).vectors[0] for doc in docs]
+
+    def test_stopword_matching_is_on_surface_forms(self):
+        # "running" is not a stopword even if "run" were one: matching happens
+        # before stemming, on the surface token
+        sw = StopwordList(words=frozenset({"run"}))
+        (v,) = extract(RawDocument("d", "run running"), stopwords=sw).vectors
+        assert v.counts == {"run": 1}  # the stem of "running"
+
+    def test_empty_document_allowed(self):
+        (v,) = extract(RawDocument("d", "the of and")).vectors
+        assert v.counts == {}
+        assert v.total == 0
+
+    def test_token_counts_are_taken_before_stopword_removal(self):
+        terms = extract(RawDocument("a", "the of and"), RawDocument("b", "wheat a 7 x barley"))
+        assert terms.token_counts == [3, 2]
 
 
 class TestValidation:
@@ -62,6 +113,28 @@ class TestValidation:
         with pytest.raises(FileNotFoundError) as exc:
             run_pipeline(config_for(corpus, tmp_path, wordnet_dir=str(wn)))
         assert "stage load_wordnet" in str(exc.value)
+
+
+class TestRunChain:
+    def test_prefixes_load_only_the_inputs_they_use(self, corpus, tmp_path, wordnet_dir,
+                                                    monkeypatch):
+        def unused(*_):
+            raise AssertionError("loaded an input this prefix does not use")
+
+        config = config_for(corpus, tmp_path, wordnet_dir=str(wordnet_dir))
+        monkeypatch.setattr(wordnet, "load_wordnet", unused)
+        assert len(run_chain(config, last_step=3).terms.vectors) == 4
+        monkeypatch.setattr(corpus_io, "default_stopwords", unused)
+        assert run_chain(config, last_step=1).stats.documents == 4
+
+    def test_stats_prefix_summarizes_like_the_full_run(self, corpus, tmp_path):
+        config = config_for(corpus, tmp_path)
+        assert run_chain(config, last_step=1).stats == run_pipeline(config).stats
+
+    def test_step_six_computes_only_the_requested_schemes(self, corpus, tmp_path):
+        result = run_chain(config_for(corpus, tmp_path), last_step=6, schemes=("tf2",))
+        assert list(result.matrices) == ["tf2"]
+        assert not result.key_terms and not (tmp_path / "out").exists()
 
 
 class TestStageLog:

@@ -2,13 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from termsift.corpus import RawDocument, StopwordList
-from termsift.textprep import (
-    preprocess_corpus,
-    preprocess_document,
-    remove_stopwords,
-    tokenize,
-)
+from termsift.corpus import StopwordList
+from termsift.textprep import remove_stopwords, tokenize
 
 SW = StopwordList(words=frozenset({"the", "of", "and", "a", "is"}))
 
@@ -45,48 +40,6 @@ class TestStopwords:
     def test_preserves_order_and_duplicates(self):
         toks = ["cat", "dog", "cat", "the", "cat"]
         assert remove_stopwords(toks, SW) == ["cat", "dog", "cat", "cat"]
-
-
-class TestPreprocess:
-    def test_document_vector(self):
-        doc = RawDocument("d1", "The running dogs and the jumping dogs.")
-        v = preprocess_document(doc, SW)
-        assert v.doc_id == "d1"
-        assert v.counts == {"run": 1, "dog": 2, "jump": 1}
-        assert v.total == 4
-
-    def test_total_is_count_sum(self):
-        doc = RawDocument("d", "wheat wheat barley the of and")
-        v = preprocess_document(doc, SW)
-        assert v.total == sum(v.counts.values()) == 3
-
-    def test_corpus_surface_map(self):
-        docs = [
-            RawDocument("a", "ponies run"),
-            RawDocument("b", "pony runs"),
-        ]
-        vectors, originals = preprocess_corpus(docs, SW)
-        assert len(vectors) == 2
-        assert originals["poni"] == {"ponies", "pony"}
-        assert originals["run"] == {"run", "runs"}
-
-    def test_vectors_match_per_document_path(self):
-        docs = [RawDocument(f"d{i}", f"harvest market grain grain x{i}ing") for i in range(4)]
-        vectors, _ = preprocess_corpus(docs, SW)
-        for doc, v in zip(docs, vectors):
-            assert v == preprocess_document(doc, SW)
-
-    def test_stopword_matching_is_on_surface_forms(self):
-        # "running" is not a stopword even if "run" were one: matching happens
-        # before stemming, on the surface token
-        sw = StopwordList(words=frozenset({"run"}))
-        v = preprocess_document(RawDocument("d", "run running"), sw)
-        assert v.counts == {"run": 1}  # the stem of "running"
-
-    def test_empty_document_allowed(self):
-        v = preprocess_document(RawDocument("d", "the of and"), SW)
-        assert v.counts == {}
-        assert v.total == 0
 
 
 def test_stemmer_dispatch_flag():
