@@ -1,8 +1,7 @@
-"""Throughput comparison: compiled stemmer extension vs pure-Python fallback.
+"""Throughput of the Porter stemmer.
 
-Stems the bundled reference vocabulary (~24k words) repeatedly with both
-implementations and reports words/second and the speedup factor. Also
-cross-checks that the two produce identical output on the run.
+Stems the bundled reference vocabulary (~24k words) repeatedly and reports
+the best pass in milliseconds and words/second.
 
 Run from the repository root:  python benchmarks/bench_stemmer.py [repeats]
 """
@@ -11,21 +10,9 @@ import sys
 import time
 from pathlib import Path
 
-from termsift import porter as porter_py
+from termsift import porter
 
 VOC = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "porter" / "voc.txt"
-
-
-def bench(name, stem, words, repeats):
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = [stem(w) for w in words]
-        best = min(best, time.perf_counter() - start)
-    rate = len(words) / best
-    print(f"{name:>10}: {best * 1000:8.1f} ms/pass  {rate / 1000:8.0f} kwords/s")
-    return out, rate
 
 
 def main():
@@ -33,18 +20,13 @@ def main():
     words = VOC.read_text().split()
     print(f"{len(words)} words, best of {repeats} passes\n")
 
-    out_pure, rate_pure = bench("pure", porter_py.stem, words, repeats)
-    try:
-        from termsift import _porter
-    except ImportError:
-        print("\ncompiled extension not built; only the pure implementation was timed")
-        return
-    out_ext, rate_ext = bench("compiled", _porter.stem, words, repeats)
-
-    if out_pure != out_ext:
-        diff = sum(a != b for a, b in zip(out_pure, out_ext))
-        raise SystemExit(f"implementations disagree on {diff} words")
-    print(f"\noutputs identical; compiled is {rate_ext / rate_pure:.1f}x faster")
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for w in words:
+            porter.stem(w)
+        best = min(best, time.perf_counter() - start)
+    print(f"{best * 1000:8.1f} ms/pass  {len(words) / best / 1000:8.0f} kwords/s")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from termsift.errors import TermsiftError, UndefinedEntryError
 from termsift.pipeline import (
     LOG_BASES, WORDNET_POLICIES, PipelineConfig, export_weights, run_chain, run_pipeline,
 )
-from termsift.textprep import porter_stem
+from termsift.porter import stem as porter_stem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,7 +102,11 @@ def _read_config_file(path: str) -> dict[str, str]:
     if not p.is_file():
         raise FileNotFoundError(f"config file not found: {p}")
     values: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(p.read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{p}:{lineno}: not valid UTF-8") from exc
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

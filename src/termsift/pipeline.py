@@ -25,7 +25,8 @@ from termsift import __version__
 from termsift import corpus as corpus_io
 from termsift import report as report_mod
 from termsift import weighting, wordnet
-from termsift.textprep import TermVector, porter_stem, remove_stopwords, tokenize
+from termsift.porter import stem as porter_stem
+from termsift.textprep import TermVector, remove_stopwords, tokenize
 
 log = logging.getLogger("termsift.pipeline")
 
@@ -103,7 +104,10 @@ def _stage_errors(name: str):
 
 
 def extract_terms(corpus: corpus_io.DocumentSet, stopwords: corpus_io.StopwordList) -> TermVectors:
-    """Steps 1-3: tokenize, drop stop words (matched on surface forms), stem."""
+    """Steps 1-3: tokenize, drop stop words (matched on surface forms), stem.
+
+    The stemmer is a pure function of the word, so each distinct surface
+    token is stemmed once per call and the result reused."""
     log.info("step 1/7: extracting term sets (tokenization)")
     tokenized = [tokenize(d.text) for d in corpus]
     token_counts = [len(tokens) for tokens in tokenized]
@@ -112,15 +116,19 @@ def extract_terms(corpus: corpus_io.DocumentSet, stopwords: corpus_io.StopwordLi
     tokenized = [remove_stopwords(tokens, stopwords) for tokens in tokenized]
 
     log.info("step 3/7: applying Porter stemming")
+    stem_of: dict[str, str] = {}
     vectors: list[TermVector] = []
-    originals: dict[str, set[str]] = {}
     for doc, tokens in zip(corpus, tokenized):
-        stems = []
-        for token in tokens:
-            s = porter_stem(token)
-            stems.append(s)
-            originals.setdefault(s, set()).add(token)
-        vectors.append(TermVector(doc_id=doc.doc_id, counts=dict(Counter(stems)), total=len(stems)))
+        counts: dict[str, int] = {}
+        for token, n in Counter(tokens).items():
+            if token not in stem_of:
+                stem_of[token] = porter_stem(token)
+            s = stem_of[token]
+            counts[s] = counts.get(s, 0) + n
+        vectors.append(TermVector(doc_id=doc.doc_id, counts=counts, total=len(tokens)))
+    originals: dict[str, set[str]] = {}
+    for token, s in stem_of.items():
+        originals.setdefault(s, set()).add(token)
     return TermVectors(vectors=vectors, originals=originals, token_counts=token_counts)
 
 
@@ -202,7 +210,9 @@ def run_chain(config: PipelineConfig, last_step: int = 7,
     log.info("loaded corpus %s: %d documents; stopword list: %d words",
              corpus.name, len(corpus), len(stopwords))
     db = None
-    if last_step > 3 and config.wordnet_policy != "off":
+    # a prefix ending at step 6 drops the annotations, so only a filter needs WordNet there
+    if (last_step == 7 and config.wordnet_policy != "off"
+            or last_step == 6 and config.wordnet_policy == "filter-nonwordnet"):
         if config.wordnet_dir is None:
             log.warning("no WordNet directory configured; step 4 will be skipped "
                         "(wordnet-policy is effectively 'off')")

@@ -1,4 +1,4 @@
-"""Porter suffix-stripping stemmer, pure-Python reference implementation.
+"""Porter suffix-stripping stemmer, the one stemmer of step 3.
 
 Implements the classic 1980 algorithm (steps 1a, 1b + continuation, 1c,
 2, 3, 4, 5a, 5b) including the two conventional amendments carried by the
@@ -6,9 +6,8 @@ author's own later implementations (-bli/-logi handling in step 2), which
 is the behaviour the widely circulated reference vocabulary/output pair
 was generated with.
 
-A compiled variant of this module lives in ``_porter.pyx``; callers should
-import :func:`termsift.textprep.porter_stem`, which picks whichever is
-available. Both variants must agree on every word (see the fixture test).
+``stem`` is a pure function of the word, so ``pipeline.extract_terms``
+calls it once per distinct token of a run and reuses the result.
 """
 
 from __future__ import annotations

@@ -1,12 +1,8 @@
-"""The per-document text steps: tokenization, stopword removal and Porter
-stemming, plus ``TermVector``, the per-document term counts they yield.
+"""The per-document text steps before stemming: tokenization and stopword
+removal, plus ``TermVector``, the per-document term counts steps 1-3 yield.
 
-They work on one document; ``pipeline.extract_terms`` applies them to a
-whole corpus as steps 1-3 of the pipeline.
-
-``porter_stem`` resolves to the compiled extension when it was built, and
-to the pure-Python module otherwise; both implement the identical
-algorithm (see ``benchmarks/bench_stemmer.py`` for the speed difference).
+They work on one document; ``pipeline.extract_terms`` applies them, and the
+stemmer ``termsift.porter.stem``, to a whole corpus as steps 1-3.
 """
 
 from __future__ import annotations
@@ -16,15 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from termsift.corpus import StopwordList
-
-try:
-    from termsift._porter import stem as porter_stem
-
-    USING_COMPILED_STEMMER = True
-except ImportError:  # pragma: no cover - depends on the build
-    from termsift.porter import stem as porter_stem
-
-    USING_COMPILED_STEMMER = False
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 

@@ -82,12 +82,12 @@ class WordNetDb:
 
 def _parse_index(path: Path, pos: str) -> dict[str, tuple[int, ...]]:
     index: dict[str, tuple[int, ...]] = {}
-    with path.open(encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if line.startswith(" "):
+    with path.open("rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            if raw.startswith(b" "):
                 continue
-            fields = line.split()
             try:
+                fields = raw.decode("utf-8").split()
                 lemma = fields[0]
                 if fields[1] != pos:
                     raise ValueError(f"part of speech {fields[1]!r}, expected {pos!r}")
@@ -137,12 +137,12 @@ def _parse_data(path: Path, pos: str) -> tuple[dict[tuple[str, int], Synset], st
 
 def _parse_lexnames(path: Path) -> dict[int, str]:
     table: dict[int, str] = {}
-    with path.open(encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
+    with path.open("rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            if not raw.strip():
                 continue
-            fields = line.split()
             try:
+                fields = raw.decode("utf-8").split()
                 table[int(fields[0])] = fields[1]
             except (IndexError, ValueError) as exc:
                 raise WordNetFormatError(f"{path}:{lineno}: malformed lexnames line: {exc}") from exc

@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from termsift.pipeline import PipelineConfig, run_pipeline
-from termsift.textprep import TermVector, porter_stem
+from termsift.porter import stem as porter_stem
+from termsift.textprep import TermVector
 from termsift.weighting import (
     SCHEMES,
     Thresholds,

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -129,6 +130,26 @@ class TestValidation:
                                "--out", str(tmp_path / "out"))
             assert code == EXIT_DATA
             assert f"stage load_corpus: {root / 'manifest.tsv'}:2: not valid UTF-8" in err
+
+    def test_invalid_utf8_wordnet_file_names_file_line_and_stage(self, capsys, corpus,
+                                                                 tmp_path, wordnet_dir):
+        wn = tmp_path / "wn"
+        shutil.copytree(wordnet_dir, wn)
+        index = wn / "index.noun"
+        lines = index.read_bytes().count(b"\n")
+        with index.open("ab") as f:
+            f.write(b"\xff")
+        code, _, err = run(capsys, "select", str(corpus), "--layout", "class-subdirectories",
+                           "--wordnet-dir", str(wn), "--out", str(tmp_path / "out"))
+        assert code == EXIT_DATA
+        assert f"stage load_wordnet: {index}:{lines + 1}: " in err
+
+    def test_invalid_utf8_config_file_names_file_and_line(self, capsys, corpus, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"layout = class-subdirectories\n\xffmin_count = 2\n")
+        code, _, err = run(capsys, "stats", str(corpus), "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert f"{cfg}:2: not valid UTF-8" in err
 
 
 class TestStemAndLex:

@@ -1,9 +1,10 @@
 import logging
+from collections import Counter
 
 import pytest
 
 from termsift import corpus as corpus_io
-from termsift import wordnet
+from termsift import pipeline, porter, wordnet
 from termsift.corpus import DocumentSet, RawDocument, StopwordList
 from termsift.pipeline import PipelineConfig, extract_terms, run_chain, run_pipeline
 
@@ -74,6 +75,23 @@ class TestExtractTerms:
         terms = extract(RawDocument("a", "the of and"), RawDocument("b", "wheat a 7 x barley"))
         assert terms.token_counts == [3, 2]
 
+    def test_each_surface_token_is_stemmed_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting_stem(word):
+            calls[word] += 1
+            return porter.stem(word)
+
+        monkeypatch.setattr(pipeline, "porter_stem", counting_stem)
+        terms = extract(RawDocument("a", "ponies run runs ponies"),
+                        RawDocument("b", "pony runs the run"),
+                        RawDocument("c", "ponies ponies pony"))
+        assert calls == {"ponies": 1, "run": 1, "runs": 1, "pony": 1}
+        assert [v.counts for v in terms.vectors] == [
+            {"poni": 2, "run": 2}, {"poni": 1, "run": 2}, {"poni": 3}]
+        assert [v.total for v in terms.vectors] == [4, 3, 3]
+        assert terms.originals == {"poni": {"ponies", "pony"}, "run": {"run", "runs"}}
+
 
 class TestValidation:
     def test_bad_layout(self, corpus, tmp_path):
@@ -130,6 +148,20 @@ class TestRunChain:
     def test_stats_prefix_summarizes_like_the_full_run(self, corpus, tmp_path):
         config = config_for(corpus, tmp_path)
         assert run_chain(config, last_step=1).stats == run_pipeline(config).stats
+
+    def test_step_six_loads_wordnet_only_to_filter(self, corpus, tmp_path, wordnet_dir,
+                                                   monkeypatch):
+        def unused(*_):
+            raise AssertionError("loaded WordNet for annotations step 6 drops")
+
+        config = config_for(corpus, tmp_path, wordnet_dir=str(wordnet_dir),
+                            wordnet_policy="annotate-only")
+        annotated = run_chain(config, last_step=7)
+        assert annotated.db is not None and annotated.annotations
+        monkeypatch.setattr(wordnet, "load_wordnet", unused)
+        result = run_chain(config, last_step=6)
+        assert result.db is None
+        assert result.matrices == annotated.matrices
 
     def test_step_six_computes_only_the_requested_schemes(self, corpus, tmp_path):
         result = run_chain(config_for(corpus, tmp_path), last_step=6, schemes=("tf2",))

@@ -1,24 +1,14 @@
-"""Stemmer tests: reference fixture agreement, properties, and parity
-between the compiled extension and the pure-Python fallback."""
+"""Stemmer tests: reference fixture agreement and properties of ``porter.stem``."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from termsift import porter as porter_py
+from termsift import porter
 
-IMPLS = {"pure": porter_py.stem}
-try:
-    from termsift import _porter
-
-    IMPLS["compiled"] = _porter.stem
-except ImportError:
-    pass
-
-
-@pytest.fixture(params=sorted(IMPLS))
-def stem(request):
-    return IMPLS[request.param]
+# The stemmer under test, passed as a parameter so that every case keeps its
+# "pure" test id.
+STEMMER = pytest.mark.parametrize("stem", [porter.stem], ids=["pure"])
 
 
 @pytest.mark.parametrize(
@@ -51,20 +41,24 @@ def stem(request):
         ("running", "run"),
     ],
 )
+@STEMMER
 def test_known_words(stem, word, expected):
     assert stem(word) == expected
 
 
+@STEMMER
 def test_short_words_unchanged(stem):
     for w in ("a", "is", "by", "ox"):
         assert stem(w) == w
 
 
+@STEMMER
 def test_empty_word_rejected(stem):
     with pytest.raises(ValueError):
         stem("")
 
 
+@STEMMER
 def test_full_reference_fixture(stem, porter_fixture):
     mismatches = [(w, stem(w), exp) for w, exp in porter_fixture if stem(w) != exp]
     assert not mismatches, f"{len(mismatches)} mismatches, first: {mismatches[:5]}"
@@ -75,16 +69,8 @@ words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=30)
 
 @given(words)
 def test_output_nonempty_and_bounded(word):
-    for impl in IMPLS.values():
-        out = impl(word)
-        assert out
-        # step 1b can append an "e" after stripping, never more
-        assert len(out) <= len(word) + 1
+    out = porter.stem(word)
+    assert out
+    # step 1b can append an "e" after stripping, never more
+    assert len(out) <= len(word) + 1
 
-
-@settings(max_examples=500)
-@given(words)
-def test_compiled_matches_pure(word):
-    if "compiled" not in IMPLS:
-        pytest.skip("extension not built")
-    assert IMPLS["compiled"](word) == IMPLS["pure"](word)

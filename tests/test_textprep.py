@@ -41,12 +41,3 @@ class TestStopwords:
         toks = ["cat", "dog", "cat", "the", "cat"]
         assert remove_stopwords(toks, SW) == ["cat", "dog", "cat", "cat"]
 
-
-def test_stemmer_dispatch_flag():
-    import termsift.textprep as tp
-
-    if tp.USING_COMPILED_STEMMER:
-        import termsift._porter as mod
-    else:
-        import termsift.porter as mod
-    assert tp.porter_stem is mod.stem
