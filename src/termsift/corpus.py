@@ -8,6 +8,8 @@ byte sequences and a load must never abort mid-corpus.
 from __future__ import annotations
 
 import hashlib
+import os
+import stat
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -96,6 +98,8 @@ def _scan_manifest(root: Path) -> list[RawDocument]:
     manifest = root / MANIFEST_NAME
     if not manifest.is_file():
         raise FileNotFoundError(f"manifest file not found: {manifest}")
+    base = os.path.join(os.path.realpath(root), "")
+    real_dirs: dict[str, str] = {}
     docs = []
     for lineno, raw in enumerate(manifest.read_bytes().splitlines(), 1):
         try:
@@ -110,10 +114,36 @@ def _scan_manifest(root: Path) -> list[RawDocument]:
                 f"{manifest}:{lineno}: expected 'doc_id<TAB>class<TAB>relative-path', got {line!r}"
             )
         doc_id, label, relpath = (p.strip() for p in parts)
-        docs.append(
-            RawDocument(doc_id=doc_id, text=_read_text(root / relpath), class_label=label or None)
-        )
+        path = root / relpath
+        _check_document(f"{manifest}:{lineno}", path, base, real_dirs)
+        docs.append(RawDocument(doc_id=doc_id, text=_read_text(path), class_label=label or None))
     return docs
+
+
+def _check_document(where: str, path: Path, base: str, real_dirs: dict[str, str]) -> None:
+    """Reject ``path`` unless it is a regular file whose real path lies under
+    ``base`` (the real corpus root plus a separator). This runs before any
+    open, since a FIFO or a device could block or never end. ``real_dirs``
+    caches each directory's real path across one manifest's lines, since
+    resolving a path in full stats every one of its components."""
+    head, name = os.path.split(path)
+    if name in ("", ".", ".."):
+        real = os.path.realpath(path)
+    else:
+        if head not in real_dirs:
+            real_dirs[head] = os.path.realpath(head)
+        # realpath(head/name) is realpath(head)/name unless name is a symlink
+        real = os.path.join(real_dirs[head], name)
+        if os.path.islink(real):
+            real = os.path.realpath(real)
+    if not real.startswith(base):
+        raise CorpusFormatError(f"{where}: {path} is outside the corpus root {base}")
+    try:
+        mode = os.stat(real).st_mode
+    except OSError as exc:
+        raise OSError(f"cannot read document file {path}: {exc}") from exc
+    if not stat.S_ISREG(mode):
+        raise CorpusFormatError(f"{where}: {path} is not a regular file")
 
 
 def load_corpus(root_path: str | Path, layout: str = "flat", name: str | None = None) -> DocumentSet:

@@ -99,7 +99,11 @@ def _stage_errors(name: str):
     try:
         yield
     except Exception as exc:
-        exc.args = (f"stage {name}: {exc}",)
+        message = f"stage {name}: {exc}"
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # such an OSError prints its errno, strerror and filename, not its args
+            raise type(exc)(message) from exc
+        exc.args = (message,)
         raise
 
 
@@ -187,7 +191,7 @@ def select_terms(matrices: dict[str, weighting.WeightMatrix], config: PipelineCo
         s: weighting.select_key_terms(m, thresholds.for_scheme(s), agg)
         for s, m in matrices.items()
     }
-    return key_terms, weighting.select_joint(matrices.values(), thresholds, agg)
+    return key_terms, weighting.select_joint(matrices.values(), key_terms)
 
 
 def run_chain(config: PipelineConfig, last_step: int = 7,

@@ -200,10 +200,9 @@ def select_key_terms(matrix: WeightMatrix, threshold: float, aggregation: str = 
     )
 
 
-def select_joint(
-    matrices: Iterable[WeightMatrix], thresholds: Thresholds, aggregation: str = "max"
-) -> KeyTermSet:
-    """Terms clearing all three per-scheme thresholds (set intersection)."""
+def select_joint(matrices: Iterable[WeightMatrix], key_terms: dict[str, KeyTermSet]) -> KeyTermSet:
+    """Terms clearing all three per-scheme thresholds: the intersection of
+    the per-scheme sets ``select_key_terms`` already chose from ``matrices``."""
     mats = list(matrices)
     if {m.scheme for m in mats} != set(SCHEMES):
         raise ValueError(f"select_joint needs one matrix per scheme {SCHEMES}")
@@ -211,15 +210,16 @@ def select_joint(
     for m in mats[1:]:
         if m.vocabulary != first.vocabulary or m.doc_ids != first.doc_ids:
             raise ValueError("matrices were not computed over the same corpus index")
-    selected = [
-        select_key_terms(m, thresholds.for_scheme(m.scheme), aggregation).terms for m in mats
-    ]
-    joint = frozenset.intersection(*selected)
+    if set(key_terms) != set(SCHEMES):
+        raise ValueError(f"select_joint needs one key-term set per scheme {SCHEMES}")
+    aggregations = {k.aggregation for k in key_terms.values()}
+    if len(aggregations) != 1:
+        raise ValueError("key-term sets were selected under different aggregations")
     return KeyTermSet(
         scheme="joint",
         threshold=None,
-        aggregation=aggregation,
-        terms=joint,
+        aggregation=aggregations.pop(),
+        terms=frozenset.intersection(*(k.terms for k in key_terms.values())),
         vocabulary_size=len(first.vocabulary),
     )
 

@@ -6,6 +6,10 @@ space-delimited fields, license header lines beginning with two spaces,
 and data lines keyed by their byte offset within the file. Only the noun
 and verb parts of speech are loaded, which yields the 41 lexicographer
 categories (26 noun.* + 15 verb.*).
+
+The load keeps only what lookup reads: each lemma's set of category
+names. Every line is still checked, and a bad one raises naming its
+file and line.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from termsift.textprep import TermVector
 REQUIRED_FILES = ("index.noun", "data.noun", "index.verb", "data.verb", "lexnames")
 
 _VERSION_RE = re.compile(r"WordNet\s+(\d+\.\d+)")
+_NO_CATEGORIES: frozenset[str] = frozenset()
 
 # Morphological detachment rules (suffix, replacement), tried in order.
 _NOUN_RULES = (
@@ -46,14 +51,6 @@ _VERB_RULES = (
 
 
 @dataclass(frozen=True)
-class Synset:
-    pos: str  # "n" or "v"
-    offset: int
-    lex_filenum: int
-    words: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class LexEntry:
     lemma: str
     categories: frozenset[str]
@@ -65,74 +62,14 @@ class LexEntry:
 
 @dataclass(frozen=True)
 class WordNetDb:
-    noun_index: dict[str, tuple[int, ...]]
-    verb_index: dict[str, tuple[int, ...]]
-    lexnames: dict[int, str]
-    synsets: dict[tuple[str, int], Synset]
+    noun: dict[str, frozenset[str]]  # lemma -> category names of its noun synsets
+    verb: dict[str, frozenset[str]]
+    synset_count: int
     version: str
 
     @property
     def lemma_count(self) -> int:
-        return len(self.noun_index) + len(self.verb_index)
-
-    @property
-    def synset_count(self) -> int:
-        return len(self.synsets)
-
-
-def _parse_index(path: Path, pos: str) -> dict[str, tuple[int, ...]]:
-    index: dict[str, tuple[int, ...]] = {}
-    with path.open("rb") as f:
-        for lineno, raw in enumerate(f, 1):
-            if raw.startswith(b" "):
-                continue
-            try:
-                fields = raw.decode("utf-8").split()
-                lemma = fields[0]
-                if fields[1] != pos:
-                    raise ValueError(f"part of speech {fields[1]!r}, expected {pos!r}")
-                synset_cnt = int(fields[2])
-                p_cnt = int(fields[3])
-                offsets = tuple(int(o) for o in fields[6 + p_cnt:])
-                if len(offsets) != synset_cnt:
-                    raise ValueError(f"{synset_cnt} synsets declared, {len(offsets)} offsets given")
-            except (IndexError, ValueError) as exc:
-                raise WordNetFormatError(f"{path}:{lineno}: malformed index line: {exc}") from exc
-            index[lemma] = offsets
-    return index
-
-
-def _parse_data(path: Path, pos: str) -> tuple[dict[tuple[str, int], Synset], str]:
-    synsets: dict[tuple[str, int], Synset] = {}
-    version = ""
-    byte_pos = 0
-    with path.open("rb") as f:
-        for lineno, raw in enumerate(f, 1):
-            line_start = byte_pos
-            byte_pos += len(raw)
-            if raw.startswith(b"  "):
-                m = _VERSION_RE.search(raw.decode("utf-8", errors="replace"))
-                if m and not version:
-                    version = m.group(1)
-                continue
-            line = raw.decode("utf-8", errors="replace").rstrip("\n")
-            fields = line.split()
-            try:
-                offset = int(fields[0])
-                if offset != line_start:
-                    raise ValueError(f"synset offset {offset} != byte offset {line_start}")
-                lex_filenum = int(fields[1])
-                ss_type = fields[2]
-                if ss_type != pos:
-                    raise ValueError(f"synset type {ss_type!r}, expected {pos!r}")
-                w_cnt = int(fields[3], 16)
-                if w_cnt < 1:
-                    raise ValueError("synset with no words")
-                words = tuple(fields[4 + 2 * i] for i in range(w_cnt))
-            except (IndexError, ValueError) as exc:
-                raise WordNetFormatError(f"{path}:{lineno}: malformed data line: {exc}") from exc
-            synsets[(pos, offset)] = Synset(pos=pos, offset=offset, lex_filenum=lex_filenum, words=words)
-    return synsets, version
+        return len(self.noun) + len(self.verb)
 
 
 def _parse_lexnames(path: Path) -> dict[int, str]:
@@ -149,8 +86,76 @@ def _parse_lexnames(path: Path) -> dict[int, str]:
     return table
 
 
+def _parse_data(path: Path, pos: str, lexnames: dict[int, str]) -> tuple[dict[int, str], str]:
+    """Synset byte offset -> category name, and the version in the header."""
+    categories: dict[int, str] = {}
+    version = ""
+    ss_type = pos.encode()
+    byte_pos = 0
+    with path.open("rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            line_start = byte_pos
+            byte_pos += len(raw)
+            if raw.startswith(b"  "):
+                m = _VERSION_RE.search(raw.decode("utf-8", errors="replace"))
+                if m and not version:
+                    version = m.group(1)
+                continue
+            # offset, lex_filenum, ss_type, w_cnt, then the words and the rest
+            fields = raw.split(None, 4)
+            try:
+                offset = int(fields[0])
+                if offset != line_start:
+                    raise ValueError(f"synset offset {offset} != byte offset {line_start}")
+                lex_filenum = int(fields[1])
+                if fields[2] != ss_type:
+                    raise ValueError(f"synset type {fields[2].decode(errors='replace')!r}, "
+                                     f"expected {pos!r}")
+                w_cnt = int(fields[3], 16)
+                if w_cnt < 1:
+                    raise ValueError("synset with no words")
+                # each word is followed by its lex_id, so word i is field 2 * i
+                if len(fields) < 5 or len(fields[4].split(None, 2 * w_cnt - 2)) < 2 * w_cnt - 1:
+                    raise ValueError(f"fewer word fields than the {w_cnt} words declared")
+                if lex_filenum not in lexnames:
+                    raise ValueError(f"lexicographer file {lex_filenum} absent from lexnames")
+            except (IndexError, ValueError) as exc:
+                raise WordNetFormatError(f"{path}:{lineno}: malformed data line: {exc}") from exc
+            categories[offset] = lexnames[lex_filenum]
+    return categories, version
+
+
+def _parse_index(path: Path, pos: str, categories: dict[int, str],
+                 interned: dict[frozenset[str], frozenset[str]]) -> dict[str, frozenset[str]]:
+    """Lemma -> category names of its synsets; equal sets share one object via ``interned``."""
+    index: dict[str, frozenset[str]] = {}
+    with path.open("rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            if raw.startswith(b" "):
+                continue
+            try:
+                fields = raw.decode("utf-8").split()
+                lemma = fields[0]
+                if fields[1] != pos:
+                    raise ValueError(f"part of speech {fields[1]!r}, expected {pos!r}")
+                synset_cnt = int(fields[2])
+                p_cnt = int(fields[3])
+                offsets = [int(o) for o in fields[6 + p_cnt:]]
+                if len(offsets) != synset_cnt:
+                    raise ValueError(f"{synset_cnt} synsets declared, {len(offsets)} offsets given")
+            except (IndexError, ValueError) as exc:
+                raise WordNetFormatError(f"{path}:{lineno}: malformed index line: {exc}") from exc
+            try:
+                cats = frozenset([categories[o] for o in offsets])
+            except KeyError as exc:
+                raise WordNetFormatError(f"{path}:{lineno}: lemma {lemma!r} references unknown "
+                                         f"synset offset {exc.args[0]}") from exc
+            index[lemma] = interned.setdefault(cats, cats)
+    return index
+
+
 def load_wordnet(directory: str | Path) -> WordNetDb:
-    """Parse a WordNet database directory into an immutable in-memory db.
+    """Parse a WordNet database directory into lemma -> categories maps.
 
     Fails fast: a missing file or a malformed line raises, never a
     partially loaded database.
@@ -163,41 +168,19 @@ def load_wordnet(directory: str | Path) -> WordNetDb:
             raise FileNotFoundError(f"missing WordNet database file: {root / name}")
 
     lexnames = _parse_lexnames(root / "lexnames")
-    noun_index = _parse_index(root / "index.noun", "n")
-    verb_index = _parse_index(root / "index.verb", "v")
-    noun_synsets, version_n = _parse_data(root / "data.noun", "n")
-    verb_synsets, version_v = _parse_data(root / "data.verb", "v")
-    synsets = {**noun_synsets, **verb_synsets}
-
-    for index, pos, name in ((noun_index, "n", "index.noun"), (verb_index, "v", "index.verb")):
-        for lemma, offsets in index.items():
-            for off in offsets:
-                if (pos, off) not in synsets:
-                    raise WordNetFormatError(
-                        f"{root / name}: lemma {lemma!r} references unknown synset offset {off}"
-                    )
-    for syn in synsets.values():
-        if syn.lex_filenum not in lexnames:
-            raise WordNetFormatError(
-                f"{root}: synset {syn.offset} uses lexicographer file {syn.lex_filenum}"
-                " absent from lexnames"
-            )
-
+    noun_synsets, version_n = _parse_data(root / "data.noun", "n", lexnames)
+    verb_synsets, version_v = _parse_data(root / "data.verb", "v", lexnames)
+    interned: dict[frozenset[str], frozenset[str]] = {}
     return WordNetDb(
-        noun_index=noun_index,
-        verb_index=verb_index,
-        lexnames=lexnames,
-        synsets=synsets,
+        noun=_parse_index(root / "index.noun", "n", noun_synsets, interned),
+        verb=_parse_index(root / "index.verb", "v", verb_synsets, interned),
+        synset_count=len(noun_synsets) + len(verb_synsets),
         version=version_n or version_v or "unknown",
     )
 
 
 def _categories_for(db: WordNetDb, word: str) -> frozenset[str]:
-    cats = set()
-    for pos, index in (("n", db.noun_index), ("v", db.verb_index)):
-        for off in index.get(word, ()):
-            cats.add(db.lexnames[db.synsets[(pos, off)].lex_filenum])
-    return frozenset(cats)
+    return db.noun.get(word, _NO_CATEGORIES) | db.verb.get(word, _NO_CATEGORIES)
 
 
 def lexical_categories(db: WordNetDb, word: str) -> LexEntry:
@@ -212,9 +195,9 @@ def base_forms(db: WordNetDb, word: str, pos: str) -> list[str]:
     itself comes first when indexed.
     """
     if pos == "noun":
-        index, rules = db.noun_index, _NOUN_RULES
+        index, rules = db.noun, _NOUN_RULES
     elif pos == "verb":
-        index, rules = db.verb_index, _VERB_RULES
+        index, rules = db.verb, _VERB_RULES
     else:
         raise ValueError(f"pos must be 'noun' or 'verb', got {pos!r}")
     candidates = []

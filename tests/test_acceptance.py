@@ -249,7 +249,8 @@ class TestC5SelectionMonotonicity:
             index = build_index(_random_vectors(rng))
             matrices = {s: compute_matrix(index, s) for s in SCHEMES}
             th = Thresholds(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1))
-            joint = select_joint(matrices.values(), th).terms
+            key_terms = {s: select_key_terms(matrices[s], th.for_scheme(s)) for s in SCHEMES}
+            joint = select_joint(matrices.values(), key_terms).terms
             for s in SCHEMES:
                 assert joint <= select_key_terms(matrices[s], th.for_scheme(s)).terms
 

@@ -131,6 +131,29 @@ class TestValidation:
             assert code == EXIT_DATA
             assert f"stage load_corpus: {root / 'manifest.tsv'}:2: not valid UTF-8" in err
 
+    def test_manifest_path_outside_root_names_file_line_and_stage(self, capsys, tmp_path):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "a.txt").write_text("wheat")
+        (tmp_path / "outside.txt").write_text("barley")
+        (root / "manifest.tsv").write_text("a\tc\ta.txt\nb\tc\t../outside.txt\n")
+        code, out, err = run(capsys, "preprocess", str(root), "--layout", "manifest-file")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert f"stage load_corpus: {root / 'manifest.tsv'}:2: " in err
+        assert "outside the corpus root" in err
+
+    def test_errno_oserror_keeps_stage_prefix(self, capsys, corpus, monkeypatch):
+        from termsift import corpus as corpus_mod
+
+        def missing(*_):
+            raise FileNotFoundError(2, "No such file or directory", "x")
+
+        monkeypatch.setattr(corpus_mod, "load_corpus", missing)
+        code, _, err = run(capsys, "stats", str(corpus))
+        assert code == EXIT_DATA
+        assert err == "termsift: error: stage load_corpus: [Errno 2] No such file or directory: 'x'\n"
+
     def test_invalid_utf8_wordnet_file_names_file_line_and_stage(self, capsys, corpus,
                                                                  tmp_path, wordnet_dir):
         wn = tmp_path / "wn"

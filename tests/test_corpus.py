@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from termsift import corpus as corpus_mod
 from termsift.corpus import (
     DatasetStats,
     corpus_summary,
@@ -58,6 +61,36 @@ class TestLoadCorpus:
         write(tmp_path / "manifest.tsv", "only-one-field\n")
         with pytest.raises(CorpusFormatError):
             load_corpus(tmp_path, "manifest-file")
+
+    @pytest.mark.parametrize("case", ["relative", "absolute", "symlink", "fifo"])
+    def test_manifest_path_must_be_a_regular_file_inside_root(self, tmp_path, monkeypatch, case):
+        root = tmp_path / "corpus"
+        write(root / "ok.txt", "fine")
+        write(tmp_path / "outside.txt", "secret")
+        if case == "relative":
+            target = "../outside.txt"
+        elif case == "absolute":
+            target = str(tmp_path / "outside.txt")
+        elif case == "symlink":
+            os.symlink(tmp_path / "outside.txt", root / "link.txt")
+            target = "link.txt"
+        else:
+            os.mkfifo(root / "pipe")  # opening it would block with no writer
+            target = "pipe"
+        manifest = root / "manifest.tsv"
+        write(manifest, f"a\tc\tok.txt\nb\tc\t{target}\n")
+        read = corpus_mod._read_text
+        monkeypatch.setattr(corpus_mod, "_read_text",
+                            lambda p: read(p) if p.name == "ok.txt" else pytest.fail(f"opened {p}"))
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(root, "manifest-file")
+        assert str(exc.value).startswith(f"{manifest}:2: ")
+
+    def test_manifest_symlink_inside_root_is_read(self, tmp_path):
+        write(tmp_path / "docs" / "x.txt", "xx")
+        os.symlink(tmp_path / "docs" / "x.txt", tmp_path / "link.txt")
+        write(tmp_path / "manifest.tsv", "a\tc\tlink.txt\n")
+        assert load_corpus(tmp_path, "manifest-file").documents[0].text == "xx"
 
     def test_permissive_decoding(self, tmp_path):
         (tmp_path / "bad.txt").write_bytes(b"caf\xe9 latte \xff\xfe")

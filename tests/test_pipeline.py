@@ -163,6 +163,19 @@ class TestRunChain:
         assert result.db is None
         assert result.matrices == annotated.matrices
 
+    def test_stage_prefix_keeps_type_and_cause_of_errno_oserror(self, corpus, tmp_path,
+                                                               monkeypatch):
+        original = FileNotFoundError(2, "No such file or directory", "x")
+
+        def missing(*_):
+            raise original
+
+        monkeypatch.setattr(corpus_io, "load_corpus", missing)
+        with pytest.raises(FileNotFoundError) as exc:
+            run_chain(config_for(corpus, tmp_path), last_step=1)
+        assert str(exc.value) == "stage load_corpus: [Errno 2] No such file or directory: 'x'"
+        assert exc.value.__cause__ is original
+
     def test_step_six_computes_only_the_requested_schemes(self, corpus, tmp_path):
         result = run_chain(config_for(corpus, tmp_path), last_step=6, schemes=("tf2",))
         assert list(result.matrices) == ["tf2"]

@@ -219,7 +219,7 @@ class TestSelection:
     def test_joint_is_intersection(self):
         _, matrices = self.make()
         th = Thresholds()
-        joint = select_joint(matrices.values(), th)
+        joint = select_joint(matrices.values(), _key_terms(matrices, th))
         per = {s: select_key_terms(matrices[s], th.for_scheme(s)).terms for s in SCHEMES}
         assert joint.terms == per["tfidf"] & per["tfdf"] & per["tf2"]
         assert joint.threshold is None
@@ -228,15 +228,28 @@ class TestSelection:
     def test_joint_needs_all_schemes(self):
         _, matrices = self.make()
         with pytest.raises(ValueError):
-            select_joint([matrices["tfidf"], matrices["tfdf"]], Thresholds())
+            select_joint([matrices["tfidf"], matrices["tfdf"]], _key_terms(matrices))
 
     def test_joint_rejects_mismatched_corpora(self):
         _, matrices = self.make(seed=3)
         _, other = self.make(seed=4)
         with pytest.raises(ValueError):
             select_joint(
-                [matrices["tfidf"], matrices["tfdf"], other["tf2"]], Thresholds()
+                [matrices["tfidf"], matrices["tfdf"], other["tf2"]], _key_terms(matrices)
             )
+
+    def test_joint_needs_key_terms_for_every_scheme(self):
+        _, matrices = self.make()
+        key_terms = _key_terms(matrices)
+        with pytest.raises(ValueError):
+            select_joint(matrices.values(), {s: key_terms[s] for s in ("tfidf", "tfdf")})
+        key_terms["tf2"] = select_key_terms(matrices["tf2"], 0.1, "mean")
+        with pytest.raises(ValueError):
+            select_joint(matrices.values(), key_terms)
+
+
+def _key_terms(matrices, th=Thresholds()):
+    return {s: select_key_terms(matrices[s], th.for_scheme(s)) for s in SCHEMES}
 
 
 class TestThresholds:

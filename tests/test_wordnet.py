@@ -1,7 +1,10 @@
 import shutil
+from pathlib import Path
 
 import pytest
+from wn_fixture import SYNSETS
 
+from termsift.cli import main
 from termsift.errors import WordNetFormatError
 from termsift.textprep import TermVector
 from termsift.wordnet import (
@@ -12,6 +15,8 @@ from termsift.wordnet import (
     load_wordnet,
 )
 
+PINNED = Path(__file__).parent / "fixtures" / "wordnet"
+
 
 class TestLoad:
     def test_version_detected_from_header(self, wordnet_db):
@@ -21,11 +26,15 @@ class TestLoad:
         assert wordnet_db.synset_count == 45
         assert wordnet_db.lemma_count > 60
 
-    def test_index_offsets_resolve(self, wordnet_db):
-        for pos, index in (("n", wordnet_db.noun_index), ("v", wordnet_db.verb_index)):
-            for offsets in index.values():
-                for off in offsets:
-                    assert (pos, off) in wordnet_db.synsets
+    def test_every_lemma_has_categories(self, wordnet_db):
+        expected = {"n": {}, "v": {}}
+        for pos, lexname, words, *_ in SYNSETS.values():
+            for word in words:
+                expected[pos].setdefault(word.lower(), set()).add(lexname)
+        assert wordnet_db.noun == expected["n"]
+        assert wordnet_db.verb == expected["v"]
+        assert all(wordnet_db.noun.values()) and all(wordnet_db.verb.values())
+        assert wordnet_db.synset_count == 45
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -66,11 +75,13 @@ class TestLoad:
     def test_dangling_index_offset_rejected(self, wordnet_dir, tmp_path):
         broken = tmp_path / "dangling"
         shutil.copytree(wordnet_dir, broken)
-        with (broken / "index.noun").open("a") as f:
+        index = broken / "index.noun"
+        lineno = _line_count(index) + 1
+        with index.open("a") as f:
             f.write("zzzz n 1 0 1 0 00000042  \n")
         with pytest.raises(WordNetFormatError) as exc:
             load_wordnet(broken)
-        assert "zzzz" in str(exc.value)
+        assert f"{index}:{lineno}: lemma 'zzzz' references unknown synset offset 42" in str(exc.value)
 
     def test_unknown_lexfile_rejected(self, wordnet_dir, tmp_path):
         broken = tmp_path / "badlex"
@@ -78,8 +89,30 @@ class TestLoad:
         lex = broken / "lexnames"
         lines = [l for l in lex.read_text().splitlines(keepends=True) if "noun.animal" not in l]
         lex.write_text("".join(lines))
-        with pytest.raises(WordNetFormatError):
+        data = broken / "data.noun"
+        # the first synset filed under noun.animal (05) is the one reported
+        lineno = next(i for i, line in enumerate(data.read_text().splitlines(), 1)
+                      if line.split()[1] == "05")
+        with pytest.raises(WordNetFormatError) as exc:
             load_wordnet(broken)
+        assert f"{data}:{lineno}: malformed data line: lexicographer file 5" in str(exc.value)
+
+    def test_missing_word_fields_rejected(self, wordnet_dir, tmp_path):
+        broken = tmp_path / "shortwords"
+        shutil.copytree(wordnet_dir, broken)
+        data = broken / "data.noun"
+        lineno = _line_count(data) + 1
+        with data.open("ab") as f:
+            # three words declared, one given
+            f.write(f"{data.stat().st_size:08d} 05 n 03 dog 0\n".encode())
+        with pytest.raises(WordNetFormatError) as exc:
+            load_wordnet(broken)
+        assert f"{data}:{lineno}: malformed data line: " in str(exc.value)
+        assert "3 words" in str(exc.value)
+
+
+def _line_count(path: Path) -> int:
+    return path.read_bytes().count(b"\n")
 
 
 class TestLookup:
@@ -175,3 +208,22 @@ class TestAnnotate:
     def test_unknown_policy(self, wordnet_db):
         with pytest.raises(ValueError):
             annotate_terms(wordnet_db, [], {}, policy="drop-everything")
+
+
+class TestPinnedOutputs:
+    """Expected text for the fixture database: what ``lex`` prints for every
+    fixture lemma (plus inflected and unknown words), and the
+    ``lexical_categories.tsv`` a bundled-corpus ``select`` writes."""
+
+    def test_lex_output(self, capsys, wordnet_dir):
+        expected = (PINNED / "lex.tsv").read_text(encoding="utf-8")
+        words = [line.split("\t")[0] for line in expected.splitlines()]
+        assert main(["lex", *words, "--wordnet-dir", str(wordnet_dir)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_lexical_categories_file(self, capsys, minicorpus_dir, wordnet_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["select", str(minicorpus_dir), "--layout", "class-subdirectories",
+                     "--wordnet-dir", str(wordnet_dir), "--out", str(out)]) == 0
+        expected = (PINNED / "minicorpus_lexical_categories.tsv").read_text(encoding="utf-8")
+        assert (out / "lexical_categories.tsv").read_text(encoding="utf-8") == expected
