@@ -26,7 +26,7 @@ from pathlib import Path
 from termsift import __version__
 from termsift import corpus as corpus_io
 from termsift import weighting, wordnet
-from termsift.errors import TermsiftError, UndefinedEntryError
+from termsift.errors import TermsiftError
 from termsift.pipeline import (
     LOG_BASES, WORDNET_POLICIES, PipelineConfig, export_weights, run_chain, run_pipeline,
 )
@@ -230,9 +230,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"termsift: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FileNotFoundError, OSError, ValueError, TermsiftError) as exc:
-        if isinstance(exc, UndefinedEntryError):
-            print(f"termsift: internal error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
         print(f"termsift: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # invariant violations and genuine bugs

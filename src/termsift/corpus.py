@@ -141,7 +141,7 @@ def _check_document(where: str, path: Path, base: str, real_dirs: dict[str, str]
     try:
         mode = os.stat(real).st_mode
     except OSError as exc:
-        raise OSError(f"cannot read document file {path}: {exc}") from exc
+        raise OSError(f"{where}: cannot read document file {path}: {exc}") from exc
     if not stat.S_ISREG(mode):
         raise CorpusFormatError(f"{where}: {path} is not a regular file")
 

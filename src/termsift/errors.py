@@ -15,7 +15,3 @@ class CorpusFormatError(TermsiftError):
 
 class WordNetFormatError(TermsiftError):
     """Malformed WordNet database file; message carries file name and line number."""
-
-
-class UndefinedEntryError(TermsiftError):
-    """A sparse matrix cell with zero term frequency was queried."""

@@ -153,10 +153,8 @@ def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: P
         log.info("step 4/7 skipped (wordnet off)")
 
     log.info("step 5/7: global unique words and frequency floor")
-    with _stage_errors("build_index"):
-        index = weighting.build_index(vectors)
     if config.min_count > 1:
-        frequent = weighting.frequent_terms(index, config.min_count)
+        frequent = weighting.frequent_terms(vectors, config.min_count)
         vectors = [
             TermVector(
                 doc_id=v.doc_id,
@@ -165,6 +163,7 @@ def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: P
             )
             for v in vectors
         ]
+    with _stage_errors("build_index"):
         index = weighting.build_index(vectors)
     return index, annotations
 

@@ -9,16 +9,22 @@ normalized document frequency DF = df/|D|:
 
 A term is a key term when its aggregated weight (max over documents by
 default) clears the scheme's threshold.
+
+The index holds one row per document: its term ids in ascending order and
+their TF values. A matrix maps those rows to weights, sharing the id rows,
+and exports walk them in (doc, term) order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from termsift.errors import EmptyCorpusError, UndefinedEntryError
+from termsift.errors import EmptyCorpusError
 from termsift.textprep import TermVector
 
 SCHEMES = ("tfidf", "tfdf", "tf2")
@@ -28,16 +34,20 @@ EXPORT_FORMATS = ("csv", "coordinate-triplet")
 
 @dataclass(frozen=True)
 class CorpusIndex:
-    """Global vocabulary, document frequencies and the underlying vectors."""
+    """Global vocabulary, document frequencies and one row per document.
+
+    Row ``i`` is ``term_ids[i]``, the document's term ids in ascending
+    order, with ``tf[i]``, their relative frequencies ``f / total``."""
 
     vocabulary: tuple[str, ...]
     doc_ids: tuple[str, ...]
-    df: dict[str, int]
-    vectors: tuple[TermVector, ...]
+    df: tuple[int, ...]  # documents containing each term id
+    term_ids: tuple[tuple[int, ...], ...]
+    tf: tuple[tuple[float, ...], ...]
 
     @property
     def doc_count(self) -> int:
-        return len(self.vectors)
+        return len(self.doc_ids)
 
     def term_index(self) -> dict[str, int]:
         return {t: j for j, t in enumerate(self.vocabulary)}
@@ -60,14 +70,49 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class WeightMatrix:
+    """One weight per populated cell, stored as the index's rows: ``weights[i]``
+    is aligned with ``term_ids[i]``, the tuple the index holds for document i."""
+
     scheme: str
-    entries: dict[tuple[int, int], float]  # (doc index, term index) -> weight
+    term_ids: tuple[tuple[int, ...], ...]
+    weights: tuple[tuple[float, ...], ...]
     doc_ids: tuple[str, ...]
     vocabulary: tuple[str, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.doc_ids), len(self.vocabulary))
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], float]:
+        """Read-only (doc index, term index) -> weight view of the populated
+        cells, iterated in (doc, term) order."""
+        return _Entries(self.term_ids, self.weights)
+
+
+class _Entries(Mapping):
+    __slots__ = ("_term_ids", "_weights")
+
+    def __init__(self, term_ids, weights):
+        self._term_ids = term_ids
+        self._weights = weights
+
+    def __len__(self) -> int:
+        return sum(map(len, self._term_ids))
+
+    def __getitem__(self, key: tuple[int, int]) -> float:
+        i, j = key
+        if 0 <= i < len(self._term_ids):
+            ids = self._term_ids[i]
+            k = bisect_left(ids, j)
+            if k < len(ids) and ids[k] == j:
+                return self._weights[i][k]
+        raise KeyError(key)
+
+    def __iter__(self):
+        for i, ids in enumerate(self._term_ids):
+            for j in ids:
+                yield (i, j)
 
 
 @dataclass(frozen=True)
@@ -96,91 +141,73 @@ def removed_percentage(removed: int, vocabulary_size: int) -> str:
 
 
 def build_index(vectors: Sequence[TermVector]) -> CorpusIndex:
-    """Vocabulary (sorted), per-term document frequencies and |D|."""
+    """Vocabulary (sorted), per-term document frequencies and the document rows."""
     if not vectors:
         raise EmptyCorpusError("cannot build an index from zero documents")
     df: dict[str, int] = {}
     for v in vectors:
         for term in v.counts:
             df[term] = df.get(term, 0) + 1
+    vocabulary = tuple(sorted(df))
+    ids = {t: j for j, t in enumerate(vocabulary)}
+    term_ids, tf = [], []
+    for v in vectors:
+        # the vocabulary is sorted, so sorted terms give ascending ids
+        terms = sorted(v.counts)
+        counts, total = v.counts, v.total
+        term_ids.append(tuple([ids[t] for t in terms]))
+        tf.append(tuple([counts[t] / total for t in terms]))
     return CorpusIndex(
-        vocabulary=tuple(sorted(df)),
+        vocabulary=vocabulary,
         doc_ids=tuple(v.doc_id for v in vectors),
-        df=df,
-        vectors=tuple(vectors),
+        df=tuple(df[t] for t in vocabulary),
+        term_ids=tuple(term_ids),
+        tf=tuple(tf),
     )
 
 
-def frequent_terms(index: CorpusIndex, min_count: int = 1) -> set[str]:
+def frequent_terms(vectors: Iterable[TermVector], min_count: int = 1) -> set[str]:
     """Terms whose total corpus frequency reaches ``min_count``."""
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     totals: dict[str, int] = {}
-    for v in index.vectors:
+    for v in vectors:
         for term, f in v.counts.items():
             totals[term] = totals.get(term, 0) + f
     return {t for t, total in totals.items() if total >= min_count}
 
 
-def _cell(index: CorpusIndex, i: int, j: int) -> tuple[int, int, str]:
-    term = index.vocabulary[j]
-    f = index.vectors[i].counts.get(term, 0)
-    if f == 0:
-        raise UndefinedEntryError(
-            f"term {term!r} has zero frequency in document {index.doc_ids[i]!r}"
-        )
-    return f, index.vectors[i].total, term
-
-
-def tfidf(index: CorpusIndex, i: int, j: int, log_base: float = math.e) -> float:
-    f, total, term = _cell(index, i, j)
-    return (f / total) * math.log(index.doc_count / index.df[term], log_base)
-
-
-def tfdf(index: CorpusIndex, i: int, j: int) -> float:
-    f, total, term = _cell(index, i, j)
-    return (f / total) / (index.df[term] / index.doc_count)
-
-
-def tf2(index: CorpusIndex, i: int, j: int, log_base: float = math.e) -> float:
-    return tfidf(index, i, j, log_base) * tfdf(index, i, j)
-
-
 def compute_matrix(index: CorpusIndex, scheme: str, log_base: float = math.e) -> WeightMatrix:
-    """One weight per populated (document, term) cell; empty docs add nothing."""
+    """One weight per populated (document, term) cell; empty docs get empty rows."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
-    positions = index.term_index()
     n = index.doc_count
-    log_n_over: dict[str, float] = {}
-    entries: dict[tuple[int, int], float] = {}
-    for i, v in enumerate(index.vectors):
-        total = v.total
-        for term, f in v.counts.items():
-            tf = f / total
-            if scheme == "tfdf":
-                w = tf * n / index.df[term]
-            else:
-                if term not in log_n_over:
-                    log_n_over[term] = math.log(n / index.df[term], log_base)
-                w = tf * log_n_over[term]
-                if scheme == "tf2":
-                    w *= tf * n / index.df[term]
-            entries[(i, positions[term])] = w
-    return WeightMatrix(
-        scheme=scheme, entries=entries, doc_ids=index.doc_ids, vocabulary=index.vocabulary
-    )
+    df = index.df
+    rows = zip(index.term_ids, index.tf)
+    if scheme == "tfdf":
+        weights = [tuple([tf * n / df[j] for j, tf in zip(ids, tfs)]) for ids, tfs in rows]
+    else:
+        idf = [math.log(n / d, log_base) for d in df]
+        if scheme == "tfidf":
+            weights = [tuple([tf * idf[j] for j, tf in zip(ids, tfs)]) for ids, tfs in rows]
+        else:
+            weights = [tuple([(tf * idf[j]) * (tf * n / df[j]) for j, tf in zip(ids, tfs)])
+                       for ids, tfs in rows]
+    return WeightMatrix(scheme=scheme, term_ids=index.term_ids, weights=tuple(weights),
+                        doc_ids=index.doc_ids, vocabulary=index.vocabulary)
 
 
 def _aggregate(matrix: WeightMatrix, aggregation: str) -> dict[int, float]:
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {aggregation!r}; expected one of {AGGREGATIONS}")
-    acc: dict[int, list[float]] = {}
-    for (_, j), w in matrix.entries.items():
-        acc.setdefault(j, []).append(w)
+    # each term's weights in document order, so a mean sums them in that order
+    columns: list[list[float]] = [[] for _ in matrix.vocabulary]
+    for ids, ws in zip(matrix.term_ids, matrix.weights):
+        for j, w in zip(ids, ws):
+            columns[j].append(w)
     if aggregation == "mean":
-        return {j: sum(ws) / len(ws) for j, ws in acc.items()}
-    return {j: max(ws) for j, ws in acc.items()}
+        return {j: sum(ws) / len(ws) for j, ws in enumerate(columns) if ws}
+    return {j: max(ws) for j, ws in enumerate(columns) if ws}
 
 
 def select_key_terms(matrix: WeightMatrix, threshold: float, aggregation: str = "max") -> KeyTermSet:
@@ -236,24 +263,31 @@ def export_matrix(
     Weights print with 10 significant digits, dot decimal separator.
     """
     out = Path(path)
+    vocabulary = matrix.vocabulary
     if key_terms is not None:
-        keep = [(j, t) for j, t in enumerate(matrix.vocabulary) if t in key_terms.terms]
+        keep = [j for j, t in enumerate(vocabulary) if t in key_terms.terms]
     else:
-        keep = list(enumerate(matrix.vocabulary))
+        keep = range(len(vocabulary))
+    rows = zip(matrix.doc_ids, matrix.term_ids, matrix.weights)
     if fmt == "csv":
-        lines = ["doc_id," + ",".join(t for _, t in keep)]
-        for i, doc_id in enumerate(matrix.doc_ids):
-            row = [doc_id]
-            for j, _ in keep:
-                w = matrix.entries.get((i, j))
-                row.append("0" if w is None else f"{w:.10g}")
-            lines.append(",".join(row))
+        column: list[int | None] = [None] * len(vocabulary)
+        for c, j in enumerate(keep):
+            column[j] = c
+        lines = [",".join(["doc_id", *(vocabulary[j] for j in keep)])]
+        for doc_id, ids, ws in rows:
+            cells = ["0"] * len(keep)
+            for j, w in zip(ids, ws):
+                c = column[j]
+                if c is not None:
+                    cells[c] = f"{w:.10g}"
+            lines.append(",".join([doc_id, *cells]))
     elif fmt == "coordinate-triplet":
-        cols = {j for j, _ in keep}
+        kept = set(keep)
         lines = [
-            f"{matrix.doc_ids[i]},{matrix.vocabulary[j]},{w:.10g}"
-            for (i, j), w in sorted(matrix.entries.items())
-            if j in cols
+            f"{doc_id},{vocabulary[j]},{w:.10g}"
+            for doc_id, ids, ws in rows
+            for j, w in zip(ids, ws)
+            if j in kept
         ]
     else:
         raise ValueError(f"unknown export format {fmt!r}")

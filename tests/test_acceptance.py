@@ -197,7 +197,7 @@ class TestC4AlgebraicIdentities:
             index = build_index(_random_vectors(random.Random(seed)))
             m = compute_matrix(index, "tfidf")
             for (i, j), w in m.entries.items():
-                if index.df[index.vocabulary[j]] == index.doc_count:
+                if index.df[j] == index.doc_count:
                     assert w == 0.0
                 else:
                     assert w > 0.0

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from termsift.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from termsift.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 
 @pytest.fixture()
@@ -142,6 +142,28 @@ class TestValidation:
         assert out == ""
         assert f"stage load_corpus: {root / 'manifest.tsv'}:2: " in err
         assert "outside the corpus root" in err
+
+    def test_manifest_missing_document_names_file_line_and_stage(self, capsys, tmp_path):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "a.txt").write_text("wheat")
+        (root / "manifest.tsv").write_text("a\tc\ta.txt\nb\tc\tmissing.txt\n")
+        code, out, err = run(capsys, "preprocess", str(root), "--layout", "manifest-file")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith(f"termsift: error: stage load_corpus: {root / 'manifest.tsv'}:2: "
+                              f"cannot read document file {root / 'missing.txt'}: ")
+
+    def test_unexpected_exception_exits_internal(self, capsys, corpus, monkeypatch):
+        from termsift import corpus as corpus_mod
+
+        def broken(*_):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(corpus_mod, "load_corpus", broken)
+        code, _, err = run(capsys, "stats", str(corpus))
+        assert code == EXIT_INTERNAL
+        assert err == "termsift: internal error: stage load_corpus: invariant broken\n"
 
     def test_errno_oserror_keeps_stage_prefix(self, capsys, corpus, monkeypatch):
         from termsift import corpus as corpus_mod

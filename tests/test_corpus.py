@@ -86,6 +86,16 @@ class TestLoadCorpus:
             load_corpus(root, "manifest-file")
         assert str(exc.value).startswith(f"{manifest}:2: ")
 
+    def test_manifest_missing_document_names_manifest_line(self, tmp_path):
+        write(tmp_path / "x.txt", "xx")
+        manifest = tmp_path / "manifest.tsv"
+        write(manifest, "a\tc\tx.txt\nb\tc\tmissing.txt\n")
+        with pytest.raises(OSError) as exc:
+            load_corpus(tmp_path, "manifest-file")
+        assert str(exc.value).startswith(
+            f"{manifest}:2: cannot read document file {tmp_path / 'missing.txt'}: ")
+        assert isinstance(exc.value.__cause__, FileNotFoundError)
+
     def test_manifest_symlink_inside_root_is_read(self, tmp_path):
         write(tmp_path / "docs" / "x.txt", "xx")
         os.symlink(tmp_path / "docs" / "x.txt", tmp_path / "link.txt")

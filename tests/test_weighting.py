@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termsift.errors import EmptyCorpusError, UndefinedEntryError
+from termsift.errors import EmptyCorpusError
 from termsift.textprep import TermVector
 from termsift.weighting import (
     SCHEMES,
@@ -17,14 +17,38 @@ from termsift.weighting import (
     removed_percentage,
     select_joint,
     select_key_terms,
-    tf2,
-    tfdf,
-    tfidf,
 )
 
 
 def vec(doc_id, counts):
     return TermVector(doc_id=doc_id, counts=dict(counts), total=sum(counts.values()))
+
+
+# The point formulas: this file's reference for one cell, computed from the
+# vectors alone and undefined where the term does not occur in the document.
+class ZeroFrequencyError(Exception):
+    pass
+
+
+def _cell(vectors, i, term):
+    f = vectors[i].counts.get(term, 0)
+    if f == 0:
+        raise ZeroFrequencyError(f"term {term!r} has zero frequency in document {i}")
+    return f, vectors[i].total, sum(term in v.counts for v in vectors)
+
+
+def tfidf(vectors, i, term, log_base=math.e):
+    f, total, df = _cell(vectors, i, term)
+    return (f / total) * math.log(len(vectors) / df, log_base)
+
+
+def tfdf(vectors, i, term):
+    f, total, df = _cell(vectors, i, term)
+    return (f / total) / (df / len(vectors))
+
+
+def tf2(vectors, i, term, log_base=math.e):
+    return tfidf(vectors, i, term, log_base) * tfdf(vectors, i, term)
 
 
 def random_vectors(rng, n_docs=None, n_terms=None):
@@ -43,7 +67,7 @@ class TestIndex:
         vectors = [vec("a", {"z": 1, "m": 2}), vec("b", {"m": 5})]
         index = build_index(vectors)
         assert index.vocabulary == ("m", "z")
-        assert index.df == {"m": 2, "z": 1}
+        assert index.df == (2, 1)
         assert index.doc_count == 2
         assert index.term_index() == {"m": 0, "z": 1}
 
@@ -52,61 +76,65 @@ class TestIndex:
             build_index([])
 
     def test_frequent_terms(self):
-        index = build_index([vec("a", {"x": 1, "y": 3}), vec("b", {"y": 1, "z": 2})])
-        assert frequent_terms(index) == {"x", "y", "z"}
-        assert frequent_terms(index, 2) == {"y", "z"}
-        assert frequent_terms(index, 4) == {"y"}
-        assert frequent_terms(index, 5) == set()
+        vectors = [vec("a", {"x": 1, "y": 3}), vec("b", {"y": 1, "z": 2})]
+        assert frequent_terms(vectors) == {"x", "y", "z"}
+        assert frequent_terms(vectors, 2) == {"y", "z"}
+        assert frequent_terms(vectors, 4) == {"y"}
+        assert frequent_terms(vectors, 5) == set()
         with pytest.raises(ValueError):
-            frequent_terms(index, 0)
+            frequent_terms(vectors, 0)
+
+    def test_rows_hold_ascending_term_ids_and_relative_frequencies(self):
+        index = build_index([vec("a", {"z": 1, "a": 3}), vec("b", {}), vec("c", {"m": 2})])
+        assert index.vocabulary == ("a", "m", "z")
+        assert index.term_ids == ((0, 2), (), (1,))
+        assert index.tf == ((3 / 4, 1 / 4), (), (2 / 2,))
+        assert index.df == (1, 1, 1)
+        assert index.doc_count == 3
 
 
 class TestPointFormulas:
-    INDEX = build_index(
-        [vec("a", {"apple": 2, "both": 1, "rare": 1}), vec("b", {"both": 3, "pear": 1})]
-    )
+    VECTORS = [vec("a", {"apple": 2, "both": 1, "rare": 1}), vec("b", {"both": 3, "pear": 1})]
 
     def test_tfidf_definition(self):
         # apple: f=2, total=4, df=1, |D|=2
-        assert tfidf(self.INDEX, 0, 0) == pytest.approx((2 / 4) * math.log(2))
+        assert tfidf(self.VECTORS, 0, "apple") == pytest.approx((2 / 4) * math.log(2))
 
     def test_tfidf_zero_for_ubiquitous_term(self):
-        j = self.INDEX.term_index()["both"]
-        assert tfidf(self.INDEX, 0, j) == 0.0
-        assert tfidf(self.INDEX, 1, j) == 0.0
+        assert tfidf(self.VECTORS, 0, "both") == 0.0
+        assert tfidf(self.VECTORS, 1, "both") == 0.0
 
     def test_tfdf_definition(self):
-        j = self.INDEX.term_index()["rare"]
         # TF = 1/4, DF = 1/2
-        assert tfdf(self.INDEX, 0, j) == pytest.approx((1 / 4) / (1 / 2))
+        assert tfdf(self.VECTORS, 0, "rare") == pytest.approx((1 / 4) / (1 / 2))
 
     def test_tf2_is_product(self):
-        for i, j in [(0, 0), (0, 1), (1, 1)]:
-            assert tf2(self.INDEX, i, j) == pytest.approx(
-                tfidf(self.INDEX, i, j) * tfdf(self.INDEX, i, j)
+        for i, term in [(0, "apple"), (0, "both"), (1, "both")]:
+            assert tf2(self.VECTORS, i, term) == pytest.approx(
+                tfidf(self.VECTORS, i, term) * tfdf(self.VECTORS, i, term)
             )
 
     def test_absent_cell_is_undefined(self):
-        j = self.INDEX.term_index()["pear"]
-        with pytest.raises(UndefinedEntryError):
-            tfidf(self.INDEX, 0, j)
-        with pytest.raises(UndefinedEntryError):
-            tfdf(self.INDEX, 0, j)
+        with pytest.raises(ZeroFrequencyError):
+            tfidf(self.VECTORS, 0, "pear")
+        with pytest.raises(ZeroFrequencyError):
+            tfdf(self.VECTORS, 0, "pear")
 
     def test_log_base_change(self):
-        w_e = tfidf(self.INDEX, 0, 0, log_base=math.e)
-        w_10 = tfidf(self.INDEX, 0, 0, log_base=10.0)
+        w_e = tfidf(self.VECTORS, 0, "apple", log_base=math.e)
+        w_10 = tfidf(self.VECTORS, 0, "apple", log_base=10.0)
         assert w_10 == pytest.approx(w_e / math.log(10))
 
 
 class TestMatrix:
     def test_entries_match_point_functions(self):
         rng = random.Random(7)
-        index = build_index(random_vectors(rng))
+        vectors = random_vectors(rng)
+        index = build_index(vectors)
         for scheme, fn in (("tfidf", tfidf), ("tfdf", tfdf), ("tf2", tf2)):
             matrix = compute_matrix(index, scheme)
             for (i, j), w in matrix.entries.items():
-                assert w == pytest.approx(fn(index, i, j), rel=1e-12)
+                assert w == pytest.approx(fn(vectors, i, index.vocabulary[j]), rel=1e-12)
 
     def test_only_populated_cells_present(self):
         index = build_index([vec("a", {"x": 1}), vec("b", {"y": 1})])
@@ -123,8 +151,26 @@ class TestMatrix:
         rng = random.Random(11)
         for _ in range(20):
             index = build_index(random_vectors(rng))
-            for i, v in enumerate(index.vectors):
-                assert sum(f / v.total for f in v.counts.values()) == pytest.approx(1.0, abs=1e-9)
+            for tfs in index.tf:
+                assert sum(tfs) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestEntriesView:
+    VECTORS = [vec("a", {"z": 1, "m": 2}), vec("b", {}), vec("c", {"m": 1, "a": 4})]
+
+    def test_len_lookup_and_order(self):
+        index = build_index(self.VECTORS)  # vocabulary a, m, z
+        entries = compute_matrix(index, "tfdf").entries
+        assert len(entries) == sum(len(v.counts) for v in self.VECTORS) == 4
+        assert list(entries) == [(0, 1), (0, 2), (2, 0), (2, 1)]
+        assert entries[(2, 0)] == pytest.approx(tfdf(self.VECTORS, 2, "a"), rel=1e-12)
+        for absent in [(0, 0), (1, 1), (2, 2), (0, 3), (3, 0), (-1, 0)]:
+            with pytest.raises(KeyError):
+                entries[absent]
+            assert absent not in entries
+        assert entries.get((1, 0)) is None
+        with pytest.raises(TypeError):
+            entries[(0, 1)] = 1.0
 
 
 class TestOracleEquivalence:
@@ -205,6 +251,17 @@ class TestSelection:
         mid = (x_mean + x_max) / 2
         assert "x" in select_key_terms(matrix, mid, "max").terms
         assert "x" not in select_key_terms(matrix, mid, "mean").terms
+
+    def test_mean_sums_each_term_in_document_order(self):
+        vectors = [vec("d0", {"x": 1, "y": 3}), vec("d1", {"x": 1, "y": 5}),
+                   vec("d2", {"x": 7, "y": 7}), vec("d3", {"y": 1})]
+        matrix = compute_matrix(build_index(vectors), "tfdf")
+        ws = [matrix.entries[(i, 0)] for i in range(3)]  # x's weights in document order
+        # another summation order gives another float, so it would move the boundary
+        assert sum(reversed(ws)) != sum(ws) and math.fsum(ws) != sum(ws)
+        mean = sum(ws) / len(ws)
+        assert "x" in select_key_terms(matrix, mean, "mean").terms
+        assert "x" not in select_key_terms(matrix, math.nextafter(mean, math.inf), "mean").terms
 
     def test_negative_threshold_rejected(self):
         _, matrices = self.make()
@@ -329,7 +386,7 @@ def test_tfidf_zero_iff_term_everywhere(seed):
     index = build_index(random_vectors(random.Random(seed)))
     m = compute_matrix(index, "tfidf")
     pos = index.term_index()
-    everywhere = {t for t in index.vocabulary if index.df[t] == index.doc_count}
+    everywhere = {t for j, t in enumerate(index.vocabulary) if index.df[j] == index.doc_count}
     for (i, j), w in m.entries.items():
         term = index.vocabulary[j]
         if term in everywhere:
@@ -357,6 +414,26 @@ class TestExport:
         assert [l.split(",")[:2] for l in lines] == [["a", "x"], ["a", "y"], ["b", "y"]]
         for line in lines:
             float(line.split(",")[2])  # parses, dot decimal separator
+
+    def test_rows_follow_term_order_not_insertion_order(self, tmp_path):
+        index = build_index([vec("a", {"z": 1, "a": 2}), vec("b", {"m": 1, "b": 1})])
+        matrix = compute_matrix(index, "tfdf")
+        path = export_matrix(matrix, tmp_path / "m.triplets", fmt="coordinate-triplet")
+        assert [l.split(",")[:2] for l in path.read_text().splitlines()] == [
+            ["a", "a"], ["a", "z"], ["b", "b"], ["b", "m"]]
+        path = export_matrix(matrix, tmp_path / "m.csv", fmt="csv")
+        assert path.read_text().splitlines() == [
+            "doc_id,a,b,m,z", "a,1.333333333,0,0,0.6666666667", "b,0,1,1,0"]
+
+    def test_empty_key_set(self, tmp_path):
+        matrix = compute_matrix(self.INDEX, "tfdf")
+        kd = select_key_terms(matrix, 1e9)
+        assert kd.terms == frozenset()
+        path = export_matrix(matrix, tmp_path / "m.csv", fmt="csv", key_terms=kd)
+        assert path.read_text() == "doc_id\na\nb\n"  # a header as wide as its rows
+        path = export_matrix(matrix, tmp_path / "m.triplets", fmt="coordinate-triplet",
+                             key_terms=kd)
+        assert path.read_text() == "\n"
 
     def test_key_term_restriction(self, tmp_path):
         matrix = compute_matrix(self.INDEX, "tfdf")

@@ -1,17 +1,21 @@
-"""Check that ``termsift select`` writes byte-identical artifacts in two trees.
+"""Check that ``termsift select`` and ``weigh`` write byte-identical artifacts
+in two trees.
 
     python3 tools/same_artifacts.py OLD_TREE
 
-Runs ``select`` with the ``src`` of OLD_TREE (another checkout, e.g. an
+Runs the CLI with the ``src`` of OLD_TREE (another checkout, e.g. an
 exported parent commit) and with this checkout's ``src`` on each case,
 and compares the exit codes, the standard output and every file the
 two runs write except ``metadata.json``, whose timestamp always
 differs. The cases:
 
-- the bundled minicorpus with WordNet off
+- ``select`` on the bundled minicorpus with WordNet off
+- the same with ``--format csv --aggregation mean --gamma 0.001``
 - the same corpus with the ``tests/wn_fixture.py`` database under
   ``annotate-only``
 - the same database under ``filter-nonwordnet --min-count 2``
+- ``weigh`` on the minicorpus, WordNet off, for each scheme in each
+  export format (the export not restricted to key terms)
 - seed 301 of each ``perfbench`` workload, with the workload's own
   ``select`` arguments (its inputs are generated into
   ``.perfbench-cache/`` on first use)
@@ -47,12 +51,22 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
     db = str(build_wordnet_dir(work / "wn-fixture"))
     found = [
         ("minicorpus, WordNet off", base + ["--wordnet-policy", "off"]),
+        # under mean the default gamma keeps no tf2 term; 0.001 keeps 53 of 136,
+        # so each scheme's csv has key-term columns
+        ("minicorpus, WordNet off, csv, mean, gamma 0.001",
+         base + ["--wordnet-policy", "off", "--format", "csv", "--aggregation", "mean",
+                 "--gamma", "0.001"]),
         ("minicorpus, fixture WordNet, annotate-only",
          base + ["--wordnet-dir", db, "--wordnet-policy", "annotate-only"]),
         ("minicorpus, fixture WordNet, filter-nonwordnet --min-count 2",
          base + ["--wordnet-dir", db, "--wordnet-policy", "filter-nonwordnet",
                  "--min-count", "2"]),
     ]
+    for scheme in ("tfidf", "tfdf", "tf2"):
+        for fmt in ("csv", "coordinate-triplet"):
+            found.append((f"minicorpus, weigh --scheme {scheme} --format {fmt}",
+                          ["weigh", *base[1:], "--wordnet-policy", "off",
+                           "--scheme", scheme, "--format", fmt]))
     for name, workload in perfbench.WORKLOADS.items():
         data = perfbench.inputs(name, SEED)
         wordnet_dir = data / "wordnet" if workload.wordnet else None
@@ -61,7 +75,7 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
     return found
 
 
-def select(tree: Path, args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+def run_cli(tree: Path, args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     cwd.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("WNSEARCHDIR", None)
@@ -94,8 +108,8 @@ def main() -> int:
         work = Path(tmp)
         for i, (name, args) in enumerate(cases(work)):
             old_cwd, new_cwd = work / f"{i}-old", work / f"{i}-new"
-            old = select(old_tree, args, old_cwd)
-            new = select(ROOT, args, new_cwd)
+            old = run_cli(old_tree, args, old_cwd)
+            new = run_cli(ROOT, args, new_cwd)
             diff = first_difference(old, new, old_cwd / "out", new_cwd / "out")
             if diff is not None:
                 print(f"differs: {name}: {diff}")
