@@ -39,6 +39,10 @@ EXIT_INTERNAL = 3
 
 WORDNET_ENV = "WNSEARCHDIR"
 
+# an earlier spelling kept for flags and config files: under a >= threshold,
+# "some document's weight clears it" is "the max clears it"
+_AGGREGATION_ALIASES = {"any-doc": "max"}
+
 log = logging.getLogger("termsift.cli")
 
 
@@ -62,7 +66,8 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, help="minimum tf-idf threshold")
     p.add_argument("--beta", type=float, help="minimum tf-df threshold")
     p.add_argument("--gamma", type=float, help="minimum tf2 threshold")
-    p.add_argument("--aggregation", choices=weighting.AGGREGATIONS)
+    p.add_argument("--aggregation", choices=(*weighting.AGGREGATIONS, *_AGGREGATION_ALIASES),
+                   help="per-term aggregation over documents (any-doc is max)")
     p.add_argument("--log-base", choices=sorted(LOG_BASES))
     p.add_argument("--min-count", type=int, help="corpus frequency floor for terms")
     p.add_argument("--out", help="output directory")
@@ -143,6 +148,8 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if "corpus" not in values:
         raise _UsageExit("a corpus directory is required (positional or --corpus)")
     values.setdefault("wordnet_dir", os.environ.get(WORDNET_ENV))
+    if values.get("aggregation") in _AGGREGATION_ALIASES:
+        values["aggregation"] = _AGGREGATION_ALIASES[values["aggregation"]]
     return PipelineConfig(**{_CONFIG_KEYS[key][0]: value for key, value in values.items()})
 
 

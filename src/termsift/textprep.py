@@ -31,4 +31,5 @@ def tokenize(text: str) -> list[str]:
 
 
 def remove_stopwords(tokens: Iterable[str], stopwords: StopwordList) -> list[str]:
-    return [t for t in tokens if t not in stopwords]
+    words = stopwords.words  # the frozenset itself: one C-level test per token
+    return [t for t in tokens if t not in words]

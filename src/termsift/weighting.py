@@ -28,7 +28,7 @@ from termsift.errors import EmptyCorpusError
 from termsift.textprep import TermVector
 
 SCHEMES = ("tfidf", "tfdf", "tf2")
-AGGREGATIONS = ("max", "mean", "any-doc")
+AGGREGATIONS = ("max", "mean")
 EXPORT_FORMATS = ("csv", "coordinate-triplet")
 
 
@@ -251,6 +251,13 @@ def select_joint(matrices: Iterable[WeightMatrix], key_terms: dict[str, KeyTermS
     )
 
 
+def _csv_field(value: str) -> str:
+    """``value`` as one CSV field, quoted only when it must be."""
+    if any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
 def export_matrix(
     matrix: WeightMatrix,
     path: str | Path,
@@ -260,7 +267,9 @@ def export_matrix(
     """Write the matrix as dense CSV or sparse ``doc_id,term,weight`` triplets.
 
     With ``key_terms`` the columns are restricted to the selected terms.
-    Weights print with 10 significant digits, dot decimal separator.
+    Weights print with 10 significant digits, dot decimal separator. A
+    document id holding a comma, double quote or line break is quoted the
+    RFC 4180 way; terms are letters only, so they never need it.
     """
     out = Path(path)
     vocabulary = matrix.vocabulary
@@ -268,7 +277,7 @@ def export_matrix(
         keep = [j for j, t in enumerate(vocabulary) if t in key_terms.terms]
     else:
         keep = range(len(vocabulary))
-    rows = zip(matrix.doc_ids, matrix.term_ids, matrix.weights)
+    rows = zip(map(_csv_field, matrix.doc_ids), matrix.term_ids, matrix.weights)
     if fmt == "csv":
         column: list[int | None] = [None] * len(vocabulary)
         for c, j in enumerate(keep):

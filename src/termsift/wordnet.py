@@ -10,11 +10,24 @@ categories (26 noun.* + 15 verb.*).
 The load keeps only what lookup reads: each lemma's set of category
 names. Every line is still checked, and a bad one raises naming its
 file and line.
+
+A parsed database is cached in ``$XDG_CACHE_HOME/termsift/`` (default
+``~/.cache/termsift/``), one file per database directory, keyed by the
+SHA-256 of the five files' contents; a changed database is parsed and
+checked again. The cache never fails a load: an unreadable, stale or
+corrupt entry counts as a miss, and a failed write is logged and ignored.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import logging
+import marshal
+import os
 import re
+import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -22,7 +35,16 @@ from typing import Iterable
 from termsift.errors import WordNetFormatError
 from termsift.textprep import TermVector
 
+log = logging.getLogger("termsift.wordnet")
+
 REQUIRED_FILES = ("index.noun", "data.noun", "index.verb", "data.verb", "lexnames")
+
+# Bump when WordNetDb or the cache file layout changes; the key covers it.
+_CACHE_FORMAT = 1
+_CACHE_TAG = (f"termsift wordnet cache {_CACHE_FORMAT}, marshal {marshal.version}, "
+              f"python {sys.version_info[0]}.{sys.version_info[1]}").encode()
+_DIGEST_SIZE = hashlib.sha256().digest_size
+_HASH_CHUNK = 1 << 20
 
 _VERSION_RE = re.compile(r"WordNet\s+(\d+\.\d+)")
 _NO_CATEGORIES: frozenset[str] = frozenset()
@@ -155,7 +177,8 @@ def _parse_index(path: Path, pos: str, categories: dict[int, str],
 
 
 def load_wordnet(directory: str | Path) -> WordNetDb:
-    """Parse a WordNet database directory into lemma -> categories maps.
+    """Parse a WordNet database directory into lemma -> categories maps,
+    or read them from the cache when the files' contents are unchanged.
 
     Fails fast: a missing file or a malformed line raises, never a
     partially loaded database.
@@ -167,6 +190,25 @@ def load_wordnet(directory: str | Path) -> WordNetDb:
         if not (root / name).is_file():
             raise FileNotFoundError(f"missing WordNet database file: {root / name}")
 
+    cache = _cache_path(root)
+    if cache is None:
+        return _parse_wordnet(root)
+    key = _content_key(root)
+    db = _read_cache(cache, key)
+    if db is not None:
+        log.info("WordNet cache hit: %s", cache)
+        return db
+    db = _parse_wordnet(root)  # raises on a malformed database, before anything is cached
+    try:
+        _write_cache(cache, key, db)
+    except OSError as exc:
+        log.info("parsed WordNet; cache not written to %s: %s", cache, exc)
+    else:
+        log.info("parsed WordNet and wrote the cache %s", cache)
+    return db
+
+
+def _parse_wordnet(root: Path) -> WordNetDb:
     lexnames = _parse_lexnames(root / "lexnames")
     noun_synsets, version_n = _parse_data(root / "data.noun", "n", lexnames)
     verb_synsets, version_v = _parse_data(root / "data.verb", "v", lexnames)
@@ -177,6 +219,76 @@ def load_wordnet(directory: str | Path) -> WordNetDb:
         synset_count=len(noun_synsets) + len(verb_synsets),
         version=version_n or version_v or "unknown",
     )
+
+
+def _cache_path(root: Path) -> Path | None:
+    """The cache file of ``root``: one per resolved directory, named by its hash.
+    None when neither $XDG_CACHE_HOME nor the home directory gives an absolute path."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG spec ignores a relative value
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):
+            return None
+    name = hashlib.sha256(os.fsencode(root.resolve())).hexdigest()[:32]
+    return Path(base) / "termsift" / f"wordnet-{name}.marshal"
+
+
+def _content_key(root: Path) -> bytes:
+    """SHA-256 over the cache format tag and each required file's own SHA-256."""
+    key = hashlib.sha256(_CACHE_TAG)
+    for name in REQUIRED_FILES:
+        digest = hashlib.sha256()
+        with (root / name).open("rb") as f:
+            while chunk := f.read(_HASH_CHUNK):
+                digest.update(chunk)
+        key.update(digest.digest())
+    return key.digest()
+
+
+def _read_cache(path: Path, key: bytes) -> WordNetDb | None:
+    """The cached database if ``path`` holds one under ``key`` intact, else None.
+
+    File layout: the key, the SHA-256 of the payload, then the payload,
+    ``marshal.dumps((noun, verb, synset_count, version))``."""
+    try:
+        blob = path.read_bytes()
+    except OSError:
+        return None
+    head = 2 * _DIGEST_SIZE
+    payload = memoryview(blob)[head:]  # a view, not a second copy of the payload
+    if (blob[:_DIGEST_SIZE] != key
+            or blob[_DIGEST_SIZE:head] != hashlib.sha256(payload).digest()):
+        return None
+    try:
+        value = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if not (isinstance(value, tuple) and len(value) == 4):
+        return None
+    noun, verb, synset_count, version = value
+    if not (isinstance(noun, dict) and isinstance(verb, dict)
+            and type(synset_count) is int and isinstance(version, str)):
+        return None
+    return WordNetDb(noun=noun, verb=verb, synset_count=synset_count, version=version)
+
+
+def _write_cache(path: Path, key: bytes, db: WordNetDb) -> None:
+    """Write the entry to a temporary file beside ``path`` and rename it into
+    place, so a reader sees the old entry or the whole new one."""
+    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            # marshal writes each shared category set once and loads it back shared
+            payload = marshal.dumps((db.noun, db.verb, db.synset_count, db.version))
+            f.write(key)
+            f.write(hashlib.sha256(payload).digest())
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _categories_for(db: WordNetDb, word: str) -> frozenset[str]:

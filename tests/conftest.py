@@ -56,6 +56,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"criterion {n}: {status} - {title}")
 
 
+@pytest.fixture(scope="session", autouse=True)
+def wordnet_cache_home(tmp_path_factory):
+    """Point the WordNet cache at a per-session directory, never the real home."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def wordnet_dir(tmp_path_factory) -> Path:
     return build_wordnet_dir(tmp_path_factory.mktemp("wordnet") / "db")

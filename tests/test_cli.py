@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 
@@ -243,6 +244,25 @@ class TestWeigh:
         first = (out_dir / "matrix_tfidf.csv").read_text().splitlines()[0]
         assert first.startswith("doc_id,")
 
+    @pytest.mark.parametrize("fmt", ["csv", "coordinate-triplet"])
+    def test_document_ids_are_quoted(self, capsys, tmp_path, fmt):
+        root = tmp_path / "flat"
+        root.mkdir()
+        (root / "a,b.txt").write_text("wheat corn rice wheat\n")
+        (root / "d.txt").write_text("barley wheat\n")
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, "weigh", str(root), "--scheme", "tfdf", "--format", fmt,
+                           "--out", str(out_dir))
+        assert code == EXIT_OK
+        with open(out.strip(), newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        if fmt == "csv":
+            header, rows = rows[0], rows[1:]
+            assert header[0] == "doc_id" and all(len(r) == len(header) for r in rows)
+        else:
+            assert all(len(r) == 3 for r in rows)
+        assert {r[0] for r in rows} == {"a,b.txt", "d.txt"}
+
 
 class TestSelect:
     def test_full_run(self, capsys, corpus, tmp_path, wordnet_dir):
@@ -281,6 +301,28 @@ class TestSelect:
         all_kept = (a / "keyterms_tfidf.txt").read_text().split()
         none_kept = (b / "keyterms_tfidf.txt").read_text().split()
         assert all_kept and not none_kept
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_any_doc_is_max(self, capsys, minicorpus_dir, tmp_path, monkeypatch, via):
+        """``any-doc`` is an alias: a term clears a >= threshold in some
+        document exactly when its max clears it."""
+        monkeypatch.delenv("WNSEARCHDIR", raising=False)
+        base = ["select", str(minicorpus_dir), "--layout", "class-subdirectories"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("aggregation = any-doc\n")
+        alias = ["--aggregation", "any-doc"] if via == "flag" else ["--config", str(cfg)]
+        outputs = []
+        for name, extra in (("max", ["--aggregation", "max"]), ("any-doc", alias)):
+            out_dir = tmp_path / name
+            code, out, _ = run(capsys, *base, *extra, "--out", str(out_dir))
+            assert code == EXIT_OK
+            outputs.append((out.replace(str(out_dir), "OUT"),
+                            {p.name: p.read_bytes() for p in out_dir.iterdir()
+                             if p.name != "metadata.json"}))
+        assert outputs[0] == outputs[1]
+        assert "keyterms_joint.txt" in outputs[0][1]
+        assert json.loads((tmp_path / "any-doc" / "metadata.json").read_text()
+                          )["aggregation"] == "max"
 
 
 class TestConfigFile:

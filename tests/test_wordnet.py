@@ -1,9 +1,13 @@
+import hashlib
+import logging
+import marshal
 import shutil
 from pathlib import Path
 
 import pytest
 from wn_fixture import SYNSETS
 
+from termsift import wordnet
 from termsift.cli import main
 from termsift.errors import WordNetFormatError
 from termsift.textprep import TermVector
@@ -109,6 +113,100 @@ class TestLoad:
             load_wordnet(broken)
         assert f"{data}:{lineno}: malformed data line: " in str(exc.value)
         assert "3 words" in str(exc.value)
+
+
+class TestCache:
+    """The parsed database is cached under $XDG_CACHE_HOME/termsift, keyed by
+    the files' contents; every cache fault falls back to the parse."""
+
+    @pytest.fixture()
+    def db_dir(self, wordnet_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        return shutil.copytree(wordnet_dir, tmp_path / "db")
+
+    @staticmethod
+    def entries(tmp_path: Path) -> list[Path]:
+        cache = tmp_path / "cache" / "termsift"
+        return sorted(cache.iterdir()) if cache.is_dir() else []
+
+    @staticmethod
+    def forbid_parse(monkeypatch):
+        def parse(*_):
+            raise AssertionError("parsed instead of reading the cache")
+        for helper in ("_parse_lexnames", "_parse_data", "_parse_index"):
+            monkeypatch.setattr(wordnet, helper, parse)
+
+    def test_second_load_is_a_hit(self, db_dir, tmp_path, monkeypatch):
+        first = load_wordnet(db_dir)
+        [entry] = self.entries(tmp_path)
+        assert (entry.parent.stat().st_mode & 0o777) == 0o700
+        self.forbid_parse(monkeypatch)
+        second = load_wordnet(db_dir)
+        assert second == first
+        sets = [*second.noun.values(), *second.verb.values()]
+        assert len({id(c) for c in sets}) == len(set(sets))  # equal sets stay one object
+
+    def test_edited_database_is_checked_again(self, db_dir, tmp_path):
+        load_wordnet(db_dir)
+        index = db_dir / "index.noun"
+        lines = index.read_bytes().splitlines(keepends=True)
+        lineno = next(i for i, line in enumerate(lines, 1) if not line.startswith(b" "))
+        lines[lineno - 1] = b"garbled n notanumber\n"
+        index.write_bytes(b"".join(lines))
+        with pytest.raises(WordNetFormatError, match=f"index.noun:{lineno}: malformed index line"):
+            load_wordnet(db_dir)
+
+    @pytest.mark.parametrize("damage", ["truncate", "garbage", "empty", "payload-digest"])
+    def test_damaged_entry_is_a_miss_and_rewritten(self, db_dir, tmp_path, damage):
+        parsed = load_wordnet(db_dir)
+        [entry] = self.entries(tmp_path)
+        good = entry.read_bytes()
+        entry.write_bytes({"truncate": good[: len(good) // 2],
+                           "garbage": good[:64] + b"\x00garbage" * 50,
+                           "empty": b"",
+                           # a well-formed payload that is not the one the digest names
+                           "payload-digest": good[:64] + marshal.dumps(({}, {}, 0, "x")),
+                           }[damage])
+        assert load_wordnet(db_dir) == parsed
+        assert entry.read_bytes() == good
+
+    def test_unexpected_payload_shape_is_a_miss(self, db_dir, tmp_path, monkeypatch):
+        parsed = load_wordnet(db_dir)
+        [entry] = self.entries(tmp_path)
+        key = entry.read_bytes()[:32]
+        payload = marshal.dumps((parsed.noun, parsed.verb, "45", parsed.version))
+        entry.write_bytes(key + hashlib.sha256(payload).digest() + payload)
+        assert load_wordnet(db_dir) == parsed
+        self.forbid_parse(monkeypatch)
+        assert load_wordnet(db_dir) == parsed  # the rewritten entry is a hit
+
+    @pytest.mark.parametrize("blocker", ["file", "no-permission", "entry-is-directory"])
+    def test_unwritable_cache_still_loads(self, db_dir, tmp_path, monkeypatch, caplog, blocker):
+        cache = tmp_path / "cache" / "termsift"
+        if blocker == "file":
+            cache.parent.mkdir()
+            cache.write_text("not a directory\n")
+        elif blocker == "no-permission":  # what a read-only directory gives a non-root user
+            def refuse(*_, **__):
+                raise PermissionError(13, "Permission denied")
+            monkeypatch.setattr(wordnet.tempfile, "mkstemp", refuse)
+        else:
+            cache.mkdir(parents=True)
+            (cache / wordnet._cache_path(db_dir).name).mkdir()
+        with caplog.at_level(logging.INFO, logger="termsift.wordnet"):
+            assert load_wordnet(db_dir).synset_count == 45
+            assert load_wordnet(db_dir).synset_count == 45
+        assert sum("cache not written" in m for m in caplog.messages) == 2
+        if blocker == "entry-is-directory":
+            assert [p.name for p in cache.iterdir()] == [wordnet._cache_path(db_dir).name]
+
+    def test_malformed_database_is_never_cached(self, db_dir, tmp_path):
+        with (db_dir / "index.verb").open("a") as f:
+            f.write("garbled v notanumber\n")
+        for _ in range(2):
+            with pytest.raises(WordNetFormatError, match="index.verb"):
+                load_wordnet(db_dir)
+        assert self.entries(tmp_path) == []
 
 
 def _line_count(path: Path) -> int:

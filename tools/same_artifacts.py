@@ -20,10 +20,16 @@ differs. The cases:
   ``select`` arguments (its inputs are generated into
   ``.perfbench-cache/`` on first use)
 
-Both trees read the same inputs, taken from this checkout. Prints one
-line per case and exits 1 at the first case that differs, naming the
-first file (or the exit code or output) that does; exits 0 when every
-case is identical.
+Both trees read the same inputs, taken from this checkout, and each
+runs with a fresh temporary ``XDG_CACHE_HOME``, so the WordNet cache of
+the user is neither read nor written. Each case that reads a WordNet
+database runs twice in this checkout, first with an empty cache (the
+database is parsed and the cache written) and then with the cache
+warm, and both runs are compared with the old tree's.
+
+Prints one line per comparison and exits 1 at the first case that
+differs, naming the first file (or the exit code or output) that does;
+exits 0 when every case is identical.
 """
 
 from __future__ import annotations
@@ -75,9 +81,10 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
     return found
 
 
-def run_cli(tree: Path, args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+def run_cli(tree: Path, args: list[str], cwd: Path, cache_home: Path
+            ) -> subprocess.CompletedProcess:
     cwd.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), XDG_CACHE_HOME=str(cache_home))
     env.pop("WNSEARCHDIR", None)
     return subprocess.run([sys.executable, "-m", "termsift.cli", *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
@@ -107,14 +114,23 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="same-artifacts-") as tmp:
         work = Path(tmp)
         for i, (name, args) in enumerate(cases(work)):
-            old_cwd, new_cwd = work / f"{i}-old", work / f"{i}-new"
-            old = run_cli(old_tree, args, old_cwd)
-            new = run_cli(ROOT, args, new_cwd)
-            diff = first_difference(old, new, old_cwd / "out", new_cwd / "out")
-            if diff is not None:
-                print(f"differs: {name}: {diff}")
-                return 1
-            print(f"same: {name} (exit {new.returncode})")
+            old_cwd = work / f"{i}-old"
+            old = run_cli(old_tree, args, old_cwd, work / f"{i}-old-cache")
+            # a fresh cache per case, so the first run here is always cold
+            new_cache = work / f"{i}-new-cache"
+            passes = ("cold cache", "warm cache") if "--wordnet-dir" in args else (None,)
+            for n, cache_state in enumerate(passes):
+                new_cwd = work / f"{i}-new-{n}"
+                new = run_cli(ROOT, args, new_cwd, new_cache)
+                label = name if cache_state is None else f"{name}, {cache_state}"
+                diff = first_difference(old, new, old_cwd / "out", new_cwd / "out")
+                if (diff is None and cache_state == "cold cache"
+                        and not any(p.is_file() for p in new_cache.rglob("*"))):
+                    diff = "no WordNet cache written"
+                if diff is not None:
+                    print(f"differs: {label}: {diff}")
+                    return 1
+                print(f"same: {label} (exit {new.returncode})")
     return 0
 
 
