@@ -165,8 +165,9 @@ def _cmd_stats(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     for v in run_chain(_resolve_config(args), last_step=3).terms.vectors:
+        doc_id = weighting.csv_field(v.doc_id)
         for term in sorted(v.counts):
-            print(f"{v.doc_id},{term},{v.counts[term]}")
+            print(f"{doc_id},{term},{v.counts[term]}")
     return EXIT_OK
 
 

@@ -114,36 +114,56 @@ def _scan_manifest(root: Path) -> list[RawDocument]:
                 f"{manifest}:{lineno}: expected 'doc_id<TAB>class<TAB>relative-path', got {line!r}"
             )
         doc_id, label, relpath = (p.strip() for p in parts)
-        path = root / relpath
-        _check_document(f"{manifest}:{lineno}", path, base, real_dirs)
-        docs.append(RawDocument(doc_id=doc_id, text=_read_text(path), class_label=label or None))
+        where = f"{manifest}:{lineno}"
+        real = _check_document(where, root, relpath, base, real_dirs)
+        try:
+            with open(real, "rb", buffering=0) as f:
+                data = f.read()
+        except OSError as exc:
+            raise OSError(f"{where}: cannot read document file {root / relpath}: {exc}") from exc
+        docs.append(RawDocument(doc_id=doc_id, text=data.decode("utf-8", errors="replace"),
+                                class_label=label or None))
     return docs
 
 
-def _check_document(where: str, path: Path, base: str, real_dirs: dict[str, str]) -> None:
-    """Reject ``path`` unless it is a regular file whose real path lies under
-    ``base`` (the real corpus root plus a separator). This runs before any
-    open, since a FIFO or a device could block or never end. ``real_dirs``
-    caches each directory's real path across one manifest's lines, since
-    resolving a path in full stats every one of its components."""
+def _check_document(where: str, root: Path, relpath: str, base: str,
+                    real_dirs: dict[str, str]) -> str:
+    """The real path of ``root/relpath``, after rejecting it unless it is a
+    regular file under ``base`` (the real corpus root plus a separator).
+    This runs before any open, since a FIFO or a device could block or
+    never end. ``real_dirs`` caches each directory's real path, with a
+    trailing separator, across one manifest's lines, since resolving a path
+    in full stats every one of its components. Messages show the path as
+    ``root / relpath``, built only when one is raised."""
+    if "\0" in relpath:
+        raise CorpusFormatError(f"{where}: document path {relpath!r} holds a NUL character")
+    path = os.path.join(root, relpath)
     head, name = os.path.split(path)
     if name in ("", ".", ".."):
         real = os.path.realpath(path)
     else:
         if head not in real_dirs:
-            real_dirs[head] = os.path.realpath(head)
+            real_dirs[head] = os.path.join(os.path.realpath(head), "")
         # realpath(head/name) is realpath(head)/name unless name is a symlink
-        real = os.path.join(real_dirs[head], name)
-        if os.path.islink(real):
-            real = os.path.realpath(real)
-    if not real.startswith(base):
-        raise CorpusFormatError(f"{where}: {path} is outside the corpus root {base}")
+        real = real_dirs[head] + name
+    # one lstat answers "symlink?" and, for anything else, "regular file?"
     try:
-        mode = os.stat(real).st_mode
+        st = os.lstat(real)
     except OSError as exc:
-        raise OSError(f"{where}: cannot read document file {path}: {exc}") from exc
-    if not stat.S_ISREG(mode):
-        raise CorpusFormatError(f"{where}: {path} is not a regular file")
+        st, error = None, exc
+    if st is not None and stat.S_ISLNK(st.st_mode):
+        real = os.path.realpath(real)
+        try:
+            st = os.stat(real)
+        except OSError as exc:
+            st, error = None, exc
+    if not real.startswith(base):
+        raise CorpusFormatError(f"{where}: {root / relpath} is outside the corpus root {base}")
+    if st is None:
+        raise OSError(f"{where}: cannot read document file {root / relpath}: {error}") from error
+    if not stat.S_ISREG(st.st_mode):
+        raise CorpusFormatError(f"{where}: {root / relpath} is not a regular file")
+    return real
 
 
 def load_corpus(root_path: str | Path, layout: str = "flat", name: str | None = None) -> DocumentSet:

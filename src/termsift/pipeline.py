@@ -143,11 +143,13 @@ def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: P
     annotations: dict[str, wordnet.LexEntry] = {}
     if db is not None:
         log.info(f"step 4/7: WordNet lexical-category annotation (policy={config.wordnet_policy})")
-        before = len({t for v in vectors for t in v.counts})
         vectors, annotations = wordnet.annotate_terms(
             db, vectors, terms.originals, policy=config.wordnet_policy
         )
-        after = len({t for v in vectors for t in v.counts})
+        # every term is annotated, and a filter keeps exactly those with a category
+        before = len(annotations)
+        after = (before if config.wordnet_policy == "annotate-only"
+                 else sum(1 for e in annotations.values() if e.categories))
         log.info("vocabulary: %d terms before WordNet step, %d after", before, after)
     else:
         log.info("step 4/7 skipped (wordnet off)")

@@ -13,7 +13,8 @@ from typing import Iterable, Mapping
 
 from termsift.corpus import StopwordList
 
-_TOKEN_RE = re.compile(r"[a-z]+")
+# letter runs are maximal, so a run the regex skips is exactly a one-letter token
+_TOKEN_RE = re.compile(r"[a-z]{2,}")
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class TermVector:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on non-letters, drop tokens shorter than 2 chars."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= 2]
+    return _TOKEN_RE.findall(text.lower())
 
 
 def remove_stopwords(tokens: Iterable[str], stopwords: StopwordList) -> list[str]:

@@ -197,27 +197,28 @@ def compute_matrix(index: CorpusIndex, scheme: str, log_base: float = math.e) ->
                         doc_ids=index.doc_ids, vocabulary=index.vocabulary)
 
 
-def _aggregate(matrix: WeightMatrix, aggregation: str) -> dict[int, float]:
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"unknown aggregation {aggregation!r}; expected one of {AGGREGATIONS}")
+def _mean_scores(matrix: WeightMatrix) -> dict[int, float]:
     # each term's weights in document order, so a mean sums them in that order
     columns: list[list[float]] = [[] for _ in matrix.vocabulary]
     for ids, ws in zip(matrix.term_ids, matrix.weights):
         for j, w in zip(ids, ws):
             columns[j].append(w)
-    if aggregation == "mean":
-        return {j: sum(ws) / len(ws) for j, ws in enumerate(columns) if ws}
-    return {j: max(ws) for j, ws in enumerate(columns) if ws}
+    return {j: sum(ws) / len(ws) for j, ws in enumerate(columns) if ws}
 
 
 def select_key_terms(matrix: WeightMatrix, threshold: float, aggregation: str = "max") -> KeyTermSet:
     """Terms whose aggregated weight is >= threshold."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    scores = _aggregate(matrix, aggregation)
-    terms = frozenset(
-        matrix.vocabulary[j] for j, score in scores.items() if score >= threshold
-    )
+    if aggregation == "max":
+        # a term's maximum reaches the threshold exactly when one of its cells does
+        ids = {j for row, ws in zip(matrix.term_ids, matrix.weights)
+               for j, w in zip(row, ws) if w >= threshold}
+    elif aggregation == "mean":
+        ids = {j for j, score in _mean_scores(matrix).items() if score >= threshold}
+    else:
+        raise ValueError(f"unknown aggregation {aggregation!r}; expected one of {AGGREGATIONS}")
+    terms = frozenset(matrix.vocabulary[j] for j in ids)
     return KeyTermSet(
         scheme=matrix.scheme,
         threshold=threshold,
@@ -251,7 +252,7 @@ def select_joint(matrices: Iterable[WeightMatrix], key_terms: dict[str, KeyTermS
     )
 
 
-def _csv_field(value: str) -> str:
+def csv_field(value: str) -> str:
     """``value`` as one CSV field, quoted only when it must be."""
     if any(c in value for c in ',"\r\n'):
         return '"' + value.replace('"', '""') + '"'
@@ -277,19 +278,22 @@ def export_matrix(
         keep = [j for j, t in enumerate(vocabulary) if t in key_terms.terms]
     else:
         keep = range(len(vocabulary))
-    rows = zip(map(_csv_field, matrix.doc_ids), matrix.term_ids, matrix.weights)
+    rows = zip(map(csv_field, matrix.doc_ids), matrix.term_ids, matrix.weights)
     if fmt == "csv":
         column: list[int | None] = [None] * len(vocabulary)
         for c, j in enumerate(keep):
             column[j] = c
         lines = [",".join(["doc_id", *(vocabulary[j] for j in keep)])]
+        zero_row = ",0" * len(keep)  # the cells of a document with no kept term
         for doc_id, ids, ws in rows:
-            cells = ["0"] * len(keep)
+            cells = None
             for j, w in zip(ids, ws):
                 c = column[j]
                 if c is not None:
+                    if cells is None:
+                        cells = ["0"] * len(keep)
                     cells[c] = f"{w:.10g}"
-            lines.append(",".join([doc_id, *cells]))
+            lines.append(doc_id + zero_row if cells is None else ",".join([doc_id, *cells]))
     elif fmt == "coordinate-triplet":
         kept = set(keep)
         lines = [

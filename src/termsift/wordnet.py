@@ -70,6 +70,14 @@ _VERB_RULES = (
     ("ing", "e"),
     ("ing", ""),
 )
+# Last letter -> (noun rules, verb rules) whose suffix ends in it, each in
+# rule order: a word can only match the rules filed under its own last letter.
+_RULES_BY_LAST_LETTER = {
+    letter: (tuple(r for r in _NOUN_RULES if r[0].endswith(letter)),
+             tuple(r for r in _VERB_RULES if r[0].endswith(letter)))
+    for letter in {suffix[-1] for suffix, _ in _NOUN_RULES + _VERB_RULES}
+}
+_NO_RULES: tuple[tuple, tuple] = ((), ())
 
 
 @dataclass(frozen=True)
@@ -300,6 +308,18 @@ def lexical_categories(db: WordNetDb, word: str) -> LexEntry:
     return LexEntry(lemma=word, categories=_categories_for(db, word))
 
 
+def _detached(word: str, rules: tuple[tuple[str, str], ...],
+              index: dict[str, frozenset[str]]) -> list[str]:
+    """The forms ``rules`` detach from ``word`` that ``index`` holds, in rule order."""
+    found = []
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            cand = word[: len(word) - len(suffix)] + replacement
+            if cand and cand in index:
+                found.append(cand)
+    return found
+
+
 def base_forms(db: WordNetDb, word: str, pos: str) -> list[str]:
     """Candidate lemmas for ``word`` via the standard detachment rules.
 
@@ -307,19 +327,15 @@ def base_forms(db: WordNetDb, word: str, pos: str) -> list[str]:
     itself comes first when indexed.
     """
     if pos == "noun":
-        index, rules = db.noun, _NOUN_RULES
+        index, side = db.noun, 0
     elif pos == "verb":
-        index, rules = db.verb, _VERB_RULES
+        index, side = db.verb, 1
     else:
         raise ValueError(f"pos must be 'noun' or 'verb', got {pos!r}")
-    candidates = []
-    if word in index:
-        candidates.append(word)
-    for suffix, replacement in rules:
-        if word.endswith(suffix):
-            cand = word[: len(word) - len(suffix)] + replacement
-            if cand and cand in index and cand not in candidates:
-                candidates.append(cand)
+    candidates = [word] if word in index else []
+    for cand in _detached(word, _RULES_BY_LAST_LETTER.get(word[-1:], _NO_RULES)[side], index):
+        if cand not in candidates:
+            candidates.append(cand)
     return candidates
 
 
@@ -329,15 +345,19 @@ def _lookup(db: WordNetDb, stem: str, surfaces: Iterable[str]) -> LexEntry:
     cats = _categories_for(db, stem)
     if cats:
         return LexEntry(lemma=stem, categories=cats)
+    surfaces = sorted(surfaces)
     surface_cats: set[str] = set()
     for surface in surfaces:
         surface_cats |= _categories_for(db, surface)
     if surface_cats:
         return LexEntry(lemma=stem, categories=frozenset(surface_cats))
+    # No surface has a category here, so base_forms' "the word itself" adds
+    # none, and only the detached forms are looked up.
     base_cats: set[str] = set()
     for surface in surfaces:
-        for pos in ("noun", "verb"):
-            for cand in base_forms(db, surface, pos):
+        rules = _RULES_BY_LAST_LETTER.get(surface[-1:], _NO_RULES)
+        for side_rules, index in zip(rules, (db.noun, db.verb)):
+            for cand in _detached(surface, side_rules, index):
                 base_cats |= _categories_for(db, cand)
     return LexEntry(lemma=stem, categories=frozenset(base_cats))
 
@@ -357,13 +377,12 @@ def annotate_terms(
     if policy not in ("annotate-only", "filter-nonwordnet"):
         raise ValueError(f"unknown wordnet policy {policy!r}")
     vocabulary = sorted({t for v in vectors for t in v.counts})
-    annotations = {
-        term: _lookup(db, term, sorted(originals.get(term, ()))) for term in vocabulary
-    }
+    annotations = {term: _lookup(db, term, originals.get(term, ())) for term in vocabulary}
     if policy == "annotate-only":
         return vectors, annotations
+    kept = {term for term, entry in annotations.items() if entry.categories}
     filtered = []
     for v in vectors:
-        counts = {t: c for t, c in v.counts.items() if annotations[t].in_wordnet}
+        counts = {t: c for t, c in v.counts.items() if t in kept}
         filtered.append(TermVector(doc_id=v.doc_id, counts=counts, total=sum(counts.values())))
     return filtered, annotations

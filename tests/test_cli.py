@@ -95,6 +95,19 @@ class TestPreprocess:
         # with the one-word custom list, "the"/"and" survive
         assert any(",the," in l for l in out_custom.splitlines())
 
+    def test_document_ids_are_quoted(self, capsys, tmp_path):
+        root = tmp_path / "flat"
+        root.mkdir()
+        (root / "a,b.txt").write_text("wheat corn wheat\n")
+        (root / 'say "hi".txt').write_text("barley\n")
+        (root / "d.txt").write_text("barley wheat\n")
+        code, out, _ = run(capsys, "preprocess", str(root))
+        assert code == EXIT_OK
+        rows = list(csv.reader(out.splitlines()))
+        assert rows == [["a,b.txt", "corn", "1"], ["a,b.txt", "wheat", "2"],
+                        ["d.txt", "barlei", "1"], ["d.txt", "wheat", "1"],
+                        ['say "hi".txt', "barlei", "1"]]
+
 
 PIPELINE_COMMANDS = ("stats", "preprocess", "weigh", "select")
 

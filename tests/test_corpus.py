@@ -1,16 +1,22 @@
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from termsift import corpus as corpus_mod
 from termsift.corpus import (
+    LAYOUTS,
     DatasetStats,
+    DocumentSet,
     corpus_summary,
     default_stopwords,
     load_corpus,
     load_stopwords,
 )
-from termsift.errors import CorpusFormatError, EmptyCorpusError
+from termsift.errors import CorpusFormatError, EmptyCorpusError, TermsiftError
 
 
 def write(path, text):
@@ -86,6 +92,41 @@ class TestLoadCorpus:
             load_corpus(root, "manifest-file")
         assert str(exc.value).startswith(f"{manifest}:2: ")
 
+    @pytest.mark.parametrize("case", ["relative", "absolute", "symlink", "fifo", "directory"])
+    def test_manifest_document_is_checked_before_it_is_opened(self, tmp_path, monkeypatch,
+                                                              case):
+        root = tmp_path / "corpus"
+        write(root / "ok.txt", "fine")
+        write(tmp_path / "outside.txt", "secret")
+        target = {"relative": "../outside.txt", "absolute": str(tmp_path / "outside.txt"),
+                  "symlink": "link.txt", "fifo": "pipe", "directory": "sub"}[case]
+        os.symlink(tmp_path / "outside.txt", root / "link.txt")
+        os.mkfifo(root / "pipe")
+        (root / "sub").mkdir()
+        manifest = root / "manifest.tsv"
+        write(manifest, f"a\tc\tok.txt\nb\tc\t{target}\n")
+        opened = []
+
+        def guarded_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            if opened[-1] != "ok.txt":
+                pytest.fail(f"opened {path}")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(corpus_mod, "open", guarded_open, raising=False)
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(root, "manifest-file")
+        assert str(exc.value).startswith(f"{manifest}:2: ")
+        assert opened == ["ok.txt"]
+
+    def test_manifest_path_with_a_nul_names_manifest_line(self, tmp_path):
+        write(tmp_path / "x.txt", "xx")
+        manifest = tmp_path / "manifest.tsv"
+        write(manifest, "a\tc\tx.txt\nb\tc\tx\0.txt\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(tmp_path, "manifest-file")
+        assert str(exc.value).startswith(f"{manifest}:2: ")
+
     def test_manifest_missing_document_names_manifest_line(self, tmp_path):
         write(tmp_path / "x.txt", "xx")
         manifest = tmp_path / "manifest.tsv"
@@ -119,6 +160,53 @@ class TestLoadCorpus:
         write(tmp_path / "a.txt", "x")
         with pytest.raises(ValueError):
             load_corpus(tmp_path, "zip")
+
+
+# Paths a manifest line may name: files the example writes, escapes from the
+# root, an absolute path in and out of it, special files and odd spellings.
+# "{root}" and "{outside}" are replaced by the example's real directories.
+_NAMED_PATHS = st.sampled_from([
+    "a.txt", "sub/b.txt", "sub/", "sub", ".", "..", "", "../outside.txt", "{outside}",
+    "{root}/a.txt", "{root}", "link", "loop", "pipe", "missing.txt", "sub/../a.txt",
+    "./a.txt", "a.txt/", "nul\0.txt", "x" * 300,
+])
+_FIELDS = st.tuples(st.text(max_size=6), st.text(max_size=4),
+                    st.one_of(_NAMED_PATHS, _NAMED_PATHS, st.text(max_size=12)))
+# mostly three tab-separated fields, so lines get past the field count
+_MANIFEST_LINES = st.one_of(_FIELDS.map("\t".join), _FIELDS.map("\t".join),
+                            st.text(max_size=20))
+
+
+class TestLoadCorpusFuzz:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(layout=st.sampled_from(LAYOUTS),
+           files=st.dictionaries(st.sampled_from(["a.txt", "sub/b.txt", "sub/c", "d/e.txt",
+                                                  "manifest.tsv", "f"]),
+                                 st.binary(max_size=40), max_size=5),
+           manifest=st.one_of(st.lists(_MANIFEST_LINES, max_size=5).map(
+               lambda lines: "\n".join(lines).encode()), st.binary(max_size=60)),
+           special=st.booleans())
+    def test_only_a_document_set_or_a_documented_error(self, layout, files, manifest, special):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "corpus"
+            root.mkdir()
+            (Path(tmp) / "outside.txt").write_bytes(b"outside text")
+            for name, data in files.items():
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_bytes(data)
+            if special:
+                os.symlink(Path(tmp) / "outside.txt", root / "link")
+                os.symlink("loop", root / "loop")
+                os.mkfifo(root / "pipe")
+            if "manifest.tsv" not in files:
+                (root / "manifest.tsv").write_bytes(
+                    manifest.replace(b"{root}", os.fsencode(root))
+                    .replace(b"{outside}", os.fsencode(Path(tmp) / "outside.txt")))
+            try:
+                result = load_corpus(root, layout)
+            except (TermsiftError, OSError):
+                return
+            assert isinstance(result, DocumentSet) and len(result) > 0
 
 
 class TestStopwords:

@@ -206,6 +206,16 @@ class TestStageLog:
             run_pipeline(config_for(corpus, tmp_path, wordnet_dir=str(wordnet_dir)))
         assert any("before WordNet" in m for m in caplog.messages)
 
+    @pytest.mark.parametrize("policy,after", [("annotate-only", 136), ("filter-nonwordnet", 24)])
+    def test_vocab_before_after_counts(self, minicorpus_dir, tmp_path, wordnet_dir, caplog,
+                                       policy, after):
+        config = PipelineConfig(corpus_path=str(minicorpus_dir), layout="class-subdirectories",
+                                wordnet_dir=str(wordnet_dir), wordnet_policy=policy,
+                                out_dir=str(tmp_path / "out"))
+        with caplog.at_level(logging.INFO, logger="termsift.pipeline"):
+            run_chain(config)
+        assert f"vocabulary: 136 terms before WordNet step, {after} after" in caplog.messages
+
 
 class TestResults:
     def test_key_term_sets_cover_all_schemes(self, corpus, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +27,14 @@ class TestTokenize:
     def test_unicode_letters_ignored(self):
         # tokens are ascii a-z runs; accented letters act as separators
         assert tokenize("café naïve") == ["caf", "na", "ve"]
+
+    @given(st.one_of(st.text(), st.text(alphabet="abZ xY1-\u00e9\u0130\u212a\u00df\u0131.")))
+    def test_same_tokens_as_filtering_every_letter_run(self, text):
+        # the earlier definition: every maximal a-z run, then a length filter;
+        # U+0130 and U+212A lowercase to text holding ASCII letters; U+00E9,
+        # U+00DF and U+0131 stay non-ASCII and split runs
+        reference = [t for t in re.findall(r"[a-z]+", text.lower()) if len(t) >= 2]
+        assert tokenize(text) == reference
 
     @given(st.text())
     def test_tokens_always_lowercase_alpha(self, text):

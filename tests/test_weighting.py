@@ -10,6 +10,7 @@ from termsift.textprep import TermVector
 from termsift.weighting import (
     SCHEMES,
     Thresholds,
+    WeightMatrix,
     build_index,
     compute_matrix,
     export_matrix,
@@ -262,6 +263,32 @@ class TestSelection:
         assert "x" in select_key_terms(matrix, mean, "mean").terms
         assert "x" not in select_key_terms(matrix, math.nextafter(mean, math.inf), "mean").terms
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), threshold=st.sampled_from([0.0, 0.25, 1.0, 3.5]))
+    def test_max_keeps_the_terms_whose_gathered_maximum_reaches_the_threshold(
+            self, data, threshold):
+        n_terms = data.draw(st.integers(1, 6))
+        # weights exactly at the threshold and one ulp either side of it
+        weight = st.one_of(
+            st.sampled_from([threshold, math.nextafter(threshold, math.inf),
+                             math.nextafter(threshold, -math.inf) if threshold else 0.0,
+                             0.0, threshold / 2, 2 * threshold + 1]),
+            st.floats(0, 10))
+        term_ids, weights = [], []
+        for _ in range(data.draw(st.integers(1, 5))):
+            ids = sorted(data.draw(st.sets(st.integers(0, n_terms - 1))))
+            term_ids.append(tuple(ids))
+            weights.append(tuple(data.draw(weight) for _ in ids))
+        matrix = WeightMatrix("tfidf", tuple(term_ids), tuple(weights),
+                              tuple(f"d{i}" for i in range(len(term_ids))),
+                              tuple(f"t{j}" for j in range(n_terms)))
+        columns = {}
+        for ids, ws in zip(term_ids, weights):
+            for j, w in zip(ids, ws):
+                columns.setdefault(j, []).append(w)
+        expected = {f"t{j}" for j, ws in columns.items() if max(ws) >= threshold}
+        assert select_key_terms(matrix, threshold, "max").terms == expected
+
     def test_negative_threshold_rejected(self):
         _, matrices = self.make()
         with pytest.raises(ValueError):
@@ -444,6 +471,17 @@ class TestExport:
         path = export_matrix(matrix, tmp_path / "m.triplets", fmt="coordinate-triplet",
                              key_terms=restricted)
         assert all(",y," in l for l in path.read_text().splitlines())
+
+    def test_dense_row_of_a_document_with_no_kept_cell(self, tmp_path):
+        index = build_index([vec("a", {"x": 2, "y": 1}), vec("b", {"y": 3}),
+                             vec("c", {"z": 1}), vec("d", {})])
+        matrix = compute_matrix(index, "tfdf")
+        kd = select_key_terms(matrix, 0.0)
+        restricted = type(kd)(kd.scheme, kd.threshold, kd.aggregation,
+                              frozenset({"x", "z"}), kd.vocabulary_size)
+        path = export_matrix(matrix, tmp_path / "m.csv", fmt="csv", key_terms=restricted)
+        assert path.read_text().splitlines() == [
+            "doc_id,x,z", "a,2.666666667,0", "b,0,0", "c,0,4", "d,0,0"]
 
     def test_unknown_format(self, tmp_path):
         matrix = compute_matrix(self.INDEX, "tfdf")

@@ -265,6 +265,80 @@ class TestBaseForms:
             base_forms(wordnet_db, "dog", "adjective")
 
 
+# The detachment rules written out again, all 16 tried in order with no
+# grouping, and the lookup cascade on top of them: the reference for
+# ``base_forms`` and ``annotate_terms``.
+REFERENCE_RULES = {
+    "noun": (("s", ""), ("ses", "s"), ("xes", "x"), ("zes", "z"), ("ches", "ch"),
+             ("shes", "sh"), ("men", "man"), ("ies", "y")),
+    "verb": (("s", ""), ("ies", "y"), ("es", "e"), ("es", ""), ("ed", "e"), ("ed", ""),
+             ("ing", "e"), ("ing", "")),
+}
+
+
+def reference_base_forms(db, word, pos):
+    index = db.noun if pos == "noun" else db.verb
+    found = [word] if word in index else []
+    for suffix, replacement in REFERENCE_RULES[pos]:
+        if word.endswith(suffix):
+            cand = word[: len(word) - len(suffix)] + replacement
+            if cand and cand in index and cand not in found:
+                found.append(cand)
+    return found
+
+
+def reference_categories(db, stem, surfaces):
+    def cats(word):
+        return db.noun.get(word, frozenset()) | db.verb.get(word, frozenset())
+
+    if cats(stem):
+        return cats(stem)
+    found = set().union(*(cats(s) for s in surfaces))
+    if found:
+        return found
+    return set().union(*(cats(c) for s in surfaces for pos in ("noun", "verb")
+                         for c in reference_base_forms(db, s, pos)))
+
+
+class TestCascadeAgainstReference:
+    @pytest.fixture(scope="class")
+    def words(self, wordnet_db):
+        """Every fixture lemma, each rule's inflection of it, and a few misses."""
+        lemmas = sorted(set(wordnet_db.noun) | set(wordnet_db.verb))
+        inflected = {lemma[: len(lemma) - len(replacement)] + suffix
+                     for lemma in lemmas
+                     for rules in REFERENCE_RULES.values()
+                     for suffix, replacement in rules if lemma.endswith(replacement)}
+        return sorted(set(lemmas) | inflected | {"", "s", "es", "ing", "zzyzx", "qqmen"})
+
+    def test_base_forms(self, wordnet_db, words):
+        for word in words:
+            for pos in ("noun", "verb"):
+                assert base_forms(wordnet_db, word, pos) == \
+                    reference_base_forms(wordnet_db, word, pos), (word, pos)
+
+    def test_annotations(self, wordnet_db, words):
+        # each word as its own stem, as the one surface of a stem no index
+        # holds, and inflections grouped under one such stem per lemma
+        originals = {}
+        for word in words:
+            originals.setdefault(word or "qqempty", set()).add(word)
+            originals.setdefault(f"qq{word}", set()).add(word)
+        for lemma in sorted(set(wordnet_db.noun) | set(wordnet_db.verb)):
+            originals[f"qqgroup{lemma}"] = {w for w in words if w.startswith(lemma[:3])}
+        vector = TermVector("d", {stem: 1 for stem in originals}, len(originals))
+        _, annotations = annotate_terms(wordnet_db, [vector], originals)
+        assert set(annotations) == set(originals)
+        via_detachment = 0
+        for stem, surfaces in originals.items():
+            expected = reference_categories(wordnet_db, stem, surfaces)
+            assert annotations[stem].categories == expected, stem
+            if expected and not any(lexical_categories(wordnet_db, w).in_wordnet
+                                    for w in [stem, *surfaces]):
+                via_detachment += 1
+        assert via_detachment > 20  # detachment-only inflections are exercised
+
+
 class TestAnnotate:
     def make_vectors(self):
         return [

@@ -1,5 +1,5 @@
-"""Check that ``termsift select`` and ``weigh`` write byte-identical artifacts
-in two trees.
+"""Check that ``termsift select``, ``weigh``, ``stats`` and ``preprocess`` write
+byte-identical artifacts and output in two trees.
 
     python3 tools/same_artifacts.py OLD_TREE
 
@@ -16,9 +16,11 @@ differs. The cases:
 - the same database under ``filter-nonwordnet --min-count 2``
 - ``weigh`` on the minicorpus, WordNet off, for each scheme in each
   export format (the export not restricted to key terms)
+- ``stats`` and ``preprocess`` on the minicorpus
 - seed 301 of each ``perfbench`` workload, with the workload's own
   ``select`` arguments (its inputs are generated into
-  ``.perfbench-cache/`` on first use)
+  ``.perfbench-cache/`` on first use), and ``stats`` and ``preprocess``
+  with the same arguments but WordNet off (neither reads it)
 
 Both trees read the same inputs, taken from this checkout, and each
 runs with a fresh temporary ``XDG_CACHE_HOME``, so the WordNet cache of
@@ -73,11 +75,16 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
             found.append((f"minicorpus, weigh --scheme {scheme} --format {fmt}",
                           ["weigh", *base[1:], "--wordnet-policy", "off",
                            "--scheme", scheme, "--format", fmt]))
+    for command in ("stats", "preprocess"):
+        found.append((f"minicorpus, {command}", [command, *base[1:]]))
     for name, workload in perfbench.WORKLOADS.items():
         data = perfbench.inputs(name, SEED)
         wordnet_dir = data / "wordnet" if workload.wordnet else None
         found.append((f"{name} seed {SEED}", perfbench.termsift_args(
             "select", data / "corpus", workload, Path("out"), wordnet_dir)))
+        for command in ("stats", "preprocess"):
+            found.append((f"{name} seed {SEED}, {command}", perfbench.termsift_args(
+                command, data / "corpus", workload, Path("out"), None)))
     return found
 
 
