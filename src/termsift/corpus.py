@@ -1,5 +1,8 @@
 """Corpus loading: directory layouts, manifests and stopword lists.
 
+Each layout only lists its documents; one loop checks and reads them all,
+so every document must resolve to a regular file inside the corpus root.
+
 Documents are decoded permissively (invalid bytes become replacement
 characters) because real corpora such as 20 Newsgroups contain malformed
 byte sequences and a load must never abort mid-corpus.
@@ -10,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 import stat
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -18,6 +22,11 @@ from termsift.errors import CorpusFormatError, EmptyCorpusError
 
 LAYOUTS = ("flat", "class-subdirectories", "manifest-file")
 MANIFEST_NAME = "manifest.tsv"
+
+# What a layout lists per document: (doc_id, class label, path relative to
+# the root, prefix of any message about it). Layouts yield them one at a
+# time, so a manifest still fails at its first bad line, checked or read.
+_Entry = tuple[str, str | None, str, str]
 
 
 @dataclass(frozen=True)
@@ -66,41 +75,29 @@ class DatasetStats:
     avg_doc_length: int
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_bytes().decode("utf-8", errors="replace")
-    except OSError as exc:
-        raise OSError(f"cannot read document file {path}: {exc}") from exc
+def _scan_flat(root: Path) -> Iterator[_Entry]:
+    with os.scandir(root) as entries:
+        for e in entries:
+            if e.is_file():
+                yield e.name, None, e.name, ""
 
 
-def _scan_flat(root: Path) -> list[RawDocument]:
-    return [
-        RawDocument(doc_id=p.name, text=_read_text(p))
-        for p in root.iterdir()
-        if p.is_file()
-    ]
+def _scan_class_subdirs(root: Path) -> Iterator[_Entry]:
+    with os.scandir(root) as classes:
+        for sub in classes:
+            if not sub.is_dir():
+                continue
+            with os.scandir(sub.path) as entries:
+                for e in entries:
+                    if e.is_file():
+                        relpath = f"{sub.name}/{e.name}"
+                        yield relpath, sub.name, relpath, ""
 
 
-def _scan_class_subdirs(root: Path) -> list[RawDocument]:
-    docs = []
-    for sub in root.iterdir():
-        if not sub.is_dir():
-            continue
-        for p in sub.iterdir():
-            if p.is_file():
-                docs.append(
-                    RawDocument(doc_id=f"{sub.name}/{p.name}", text=_read_text(p), class_label=sub.name)
-                )
-    return docs
-
-
-def _scan_manifest(root: Path) -> list[RawDocument]:
+def _scan_manifest(root: Path) -> Iterator[_Entry]:
     manifest = root / MANIFEST_NAME
     if not manifest.is_file():
         raise FileNotFoundError(f"manifest file not found: {manifest}")
-    base = os.path.join(os.path.realpath(root), "")
-    real_dirs: dict[str, str] = {}
-    docs = []
     for lineno, raw in enumerate(manifest.read_bytes().splitlines(), 1):
         try:
             line = raw.decode("utf-8")
@@ -114,16 +111,7 @@ def _scan_manifest(root: Path) -> list[RawDocument]:
                 f"{manifest}:{lineno}: expected 'doc_id<TAB>class<TAB>relative-path', got {line!r}"
             )
         doc_id, label, relpath = (p.strip() for p in parts)
-        where = f"{manifest}:{lineno}"
-        real = _check_document(where, root, relpath, base, real_dirs)
-        try:
-            with open(real, "rb", buffering=0) as f:
-                data = f.read()
-        except OSError as exc:
-            raise OSError(f"{where}: cannot read document file {root / relpath}: {exc}") from exc
-        docs.append(RawDocument(doc_id=doc_id, text=data.decode("utf-8", errors="replace"),
-                                class_label=label or None))
-    return docs
+        yield doc_id, label or None, relpath, f"{manifest}:{lineno}: "
 
 
 def _check_document(where: str, root: Path, relpath: str, base: str,
@@ -132,11 +120,11 @@ def _check_document(where: str, root: Path, relpath: str, base: str,
     regular file under ``base`` (the real corpus root plus a separator).
     This runs before any open, since a FIFO or a device could block or
     never end. ``real_dirs`` caches each directory's real path, with a
-    trailing separator, across one manifest's lines, since resolving a path
-    in full stats every one of its components. Messages show the path as
-    ``root / relpath``, built only when one is raised."""
+    trailing separator, across one load, since resolving a path in full
+    stats every one of its components. Messages start with ``where`` and
+    show the path as ``root / relpath``, built only when one is raised."""
     if "\0" in relpath:
-        raise CorpusFormatError(f"{where}: document path {relpath!r} holds a NUL character")
+        raise CorpusFormatError(f"{where}document path {relpath!r} holds a NUL character")
     path = os.path.join(root, relpath)
     head, name = os.path.split(path)
     if name in ("", ".", ".."):
@@ -158,11 +146,11 @@ def _check_document(where: str, root: Path, relpath: str, base: str,
         except OSError as exc:
             st, error = None, exc
     if not real.startswith(base):
-        raise CorpusFormatError(f"{where}: {root / relpath} is outside the corpus root {base}")
+        raise CorpusFormatError(f"{where}{root / relpath} is outside the corpus root {base}")
     if st is None:
-        raise OSError(f"{where}: cannot read document file {root / relpath}: {error}") from error
+        raise OSError(f"{where}cannot read document file {root / relpath}: {error}") from error
     if not stat.S_ISREG(st.st_mode):
-        raise CorpusFormatError(f"{where}: {root / relpath} is not a regular file")
+        raise CorpusFormatError(f"{where}{root / relpath} is not a regular file")
     return real
 
 
@@ -179,11 +167,22 @@ def load_corpus(root_path: str | Path, layout: str = "flat", name: str | None = 
         raise FileNotFoundError(f"corpus root is not a directory: {root}")
 
     if layout == "flat":
-        docs = _scan_flat(root)
+        entries = _scan_flat(root)
     elif layout == "class-subdirectories":
-        docs = _scan_class_subdirs(root)
+        entries = _scan_class_subdirs(root)
     else:
-        docs = _scan_manifest(root)
+        entries = _scan_manifest(root)
+    base = os.path.join(os.path.realpath(root), "")
+    real_dirs: dict[str, str] = {}
+    docs = []
+    for doc_id, label, relpath, where in entries:
+        real = _check_document(where, root, relpath, base, real_dirs)
+        try:
+            with open(real, "rb", buffering=0) as f:
+                data = f.read()
+        except OSError as exc:
+            raise OSError(f"{where}cannot read document file {root / relpath}: {exc}") from exc
+        docs.append(RawDocument(doc_id, data.decode("utf-8", errors="replace"), label))
 
     if not docs:
         raise EmptyCorpusError(f"no documents found under {root} (layout={layout})")

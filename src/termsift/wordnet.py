@@ -320,25 +320,6 @@ def _detached(word: str, rules: tuple[tuple[str, str], ...],
     return found
 
 
-def base_forms(db: WordNetDb, word: str, pos: str) -> list[str]:
-    """Candidate lemmas for ``word`` via the standard detachment rules.
-
-    Only candidates actually present in the index are returned; the word
-    itself comes first when indexed.
-    """
-    if pos == "noun":
-        index, side = db.noun, 0
-    elif pos == "verb":
-        index, side = db.verb, 1
-    else:
-        raise ValueError(f"pos must be 'noun' or 'verb', got {pos!r}")
-    candidates = [word] if word in index else []
-    for cand in _detached(word, _RULES_BY_LAST_LETTER.get(word[-1:], _NO_RULES)[side], index):
-        if cand not in candidates:
-            candidates.append(cand)
-    return candidates
-
-
 def _lookup(db: WordNetDb, stem: str, surfaces: Iterable[str]) -> LexEntry:
     # Cascade: the stem itself, then the surface forms, then detached base
     # forms of the surfaces. The first stage with any hit wins.
@@ -351,8 +332,8 @@ def _lookup(db: WordNetDb, stem: str, surfaces: Iterable[str]) -> LexEntry:
         surface_cats |= _categories_for(db, surface)
     if surface_cats:
         return LexEntry(lemma=stem, categories=frozenset(surface_cats))
-    # No surface has a category here, so base_forms' "the word itself" adds
-    # none, and only the detached forms are looked up.
+    # No surface has a category here, so only the forms the detachment
+    # rules make from each surface are looked up.
     base_cats: set[str] = set()
     for surface in surfaces:
         rules = _RULES_BY_LAST_LETTER.get(surface[-1:], _NO_RULES)

@@ -24,6 +24,24 @@ def write(path, text):
     path.write_text(text, encoding="utf-8")
 
 
+def guard_open(monkeypatch):
+    """Make the loader's ``open`` fail the test for any file but ``ok.txt``;
+    returns the list of base names it is asked to open."""
+    opened = []
+
+    def guarded_open(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        if opened[-1] != "ok.txt":
+            pytest.fail(f"opened {path}")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_mod, "open", guarded_open, raising=False)
+    return opened
+
+
+DIRECTORY_LAYOUTS = {"flat": "", "class-subdirectories": "cls/"}
+
+
 class TestLoadCorpus:
     def test_flat_single_file(self, tmp_path):
         write(tmp_path / "a.txt", "hello")
@@ -68,30 +86,6 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError):
             load_corpus(tmp_path, "manifest-file")
 
-    @pytest.mark.parametrize("case", ["relative", "absolute", "symlink", "fifo"])
-    def test_manifest_path_must_be_a_regular_file_inside_root(self, tmp_path, monkeypatch, case):
-        root = tmp_path / "corpus"
-        write(root / "ok.txt", "fine")
-        write(tmp_path / "outside.txt", "secret")
-        if case == "relative":
-            target = "../outside.txt"
-        elif case == "absolute":
-            target = str(tmp_path / "outside.txt")
-        elif case == "symlink":
-            os.symlink(tmp_path / "outside.txt", root / "link.txt")
-            target = "link.txt"
-        else:
-            os.mkfifo(root / "pipe")  # opening it would block with no writer
-            target = "pipe"
-        manifest = root / "manifest.tsv"
-        write(manifest, f"a\tc\tok.txt\nb\tc\t{target}\n")
-        read = corpus_mod._read_text
-        monkeypatch.setattr(corpus_mod, "_read_text",
-                            lambda p: read(p) if p.name == "ok.txt" else pytest.fail(f"opened {p}"))
-        with pytest.raises(CorpusFormatError) as exc:
-            load_corpus(root, "manifest-file")
-        assert str(exc.value).startswith(f"{manifest}:2: ")
-
     @pytest.mark.parametrize("case", ["relative", "absolute", "symlink", "fifo", "directory"])
     def test_manifest_document_is_checked_before_it_is_opened(self, tmp_path, monkeypatch,
                                                               case):
@@ -105,15 +99,7 @@ class TestLoadCorpus:
         (root / "sub").mkdir()
         manifest = root / "manifest.tsv"
         write(manifest, f"a\tc\tok.txt\nb\tc\t{target}\n")
-        opened = []
-
-        def guarded_open(path, *args, **kwargs):
-            opened.append(os.path.basename(path))
-            if opened[-1] != "ok.txt":
-                pytest.fail(f"opened {path}")
-            return open(path, *args, **kwargs)
-
-        monkeypatch.setattr(corpus_mod, "open", guarded_open, raising=False)
+        opened = guard_open(monkeypatch)
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(root, "manifest-file")
         assert str(exc.value).startswith(f"{manifest}:2: ")
@@ -142,6 +128,43 @@ class TestLoadCorpus:
         os.symlink(tmp_path / "docs" / "x.txt", tmp_path / "link.txt")
         write(tmp_path / "manifest.tsv", "a\tc\tlink.txt\n")
         assert load_corpus(tmp_path, "manifest-file").documents[0].text == "xx"
+
+    @pytest.mark.parametrize("layout", DIRECTORY_LAYOUTS)
+    def test_directory_symlink_out_of_root_is_rejected_unopened(self, tmp_path, monkeypatch,
+                                                               layout):
+        root = tmp_path / "corpus"
+        prefix = DIRECTORY_LAYOUTS[layout]
+        write(root / prefix / "ok.txt", "fine")
+        write(tmp_path / "outside.txt", "secret")
+        os.symlink(tmp_path / "outside.txt", root / prefix / "link.txt")
+        opened = guard_open(monkeypatch)
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(root, layout)
+        assert str(exc.value).startswith(
+            f"{root / (prefix + 'link.txt')} is outside the corpus root ")
+        assert set(opened) <= {"ok.txt"}
+
+    @pytest.mark.parametrize("layout", DIRECTORY_LAYOUTS)
+    def test_directory_symlink_inside_root_is_read(self, tmp_path, layout):
+        prefix = DIRECTORY_LAYOUTS[layout]
+        write(tmp_path / prefix / "x.txt", "xx")
+        os.symlink("x.txt", tmp_path / prefix / "link.txt")
+        corpus = load_corpus(tmp_path, layout)
+        assert [(d.doc_id, d.text) for d in corpus] == [(prefix + "link.txt", "xx"),
+                                                        (prefix + "x.txt", "xx")]
+
+    @pytest.mark.parametrize("layout", DIRECTORY_LAYOUTS)
+    def test_directory_entries_that_are_not_files_are_skipped(self, tmp_path, monkeypatch,
+                                                              layout):
+        docs = tmp_path / DIRECTORY_LAYOUTS[layout]
+        write(docs / "ok.txt", "fine")
+        write(docs / "sub" / "inner.txt", "nested")
+        os.mkfifo(docs / "pipe")  # opening it would block with no writer
+        os.symlink("missing.txt", docs / "dangling")
+        opened = guard_open(monkeypatch)
+        corpus = load_corpus(tmp_path, layout)
+        assert [d.doc_id for d in corpus] == [DIRECTORY_LAYOUTS[layout] + "ok.txt"]
+        assert opened == ["ok.txt"]
 
     def test_permissive_decoding(self, tmp_path):
         (tmp_path / "bad.txt").write_bytes(b"caf\xe9 latte \xff\xfe")
@@ -207,6 +230,7 @@ class TestLoadCorpusFuzz:
             except (TermsiftError, OSError):
                 return
             assert isinstance(result, DocumentSet) and len(result) > 0
+            assert all(d.text != "outside text" for d in result)
 
 
 class TestStopwords:

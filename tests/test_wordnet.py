@@ -14,7 +14,6 @@ from termsift.textprep import TermVector
 from termsift.wordnet import (
     REQUIRED_FILES,
     annotate_terms,
-    base_forms,
     lexical_categories,
     load_wordnet,
 )
@@ -236,38 +235,9 @@ class TestLookup:
         assert entry.categories == frozenset()
 
 
-class TestBaseForms:
-    @pytest.mark.parametrize(
-        "word,pos,expected",
-        [
-            ("ponies", "noun", ["pony"]),
-            ("churches", "noun", ["church"]),
-            ("men", "noun", ["man"]),
-            ("dogs", "noun", ["dog"]),
-            ("dog", "noun", ["dog"]),
-            ("agreed", "verb", ["agree"]),
-            ("sailing", "verb", ["sail"]),
-            ("pays", "verb", ["pay"]),
-            ("zzyzx", "noun", []),
-        ],
-    )
-    def test_detachment(self, wordnet_db, word, pos, expected):
-        assert base_forms(wordnet_db, word, pos) == expected
-
-    def test_indexed_word_comes_first(self, wordnet_db):
-        # "harvesting" is itself a noun lemma; the detached verb base is
-        # found via the verb rules
-        assert base_forms(wordnet_db, "harvesting", "noun") == ["harvesting"]
-        assert base_forms(wordnet_db, "harvesting", "verb") == ["harvest"]
-
-    def test_bad_pos(self, wordnet_db):
-        with pytest.raises(ValueError):
-            base_forms(wordnet_db, "dog", "adjective")
-
-
 # The detachment rules written out again, all 16 tried in order with no
 # grouping, and the lookup cascade on top of them: the reference for
-# ``base_forms`` and ``annotate_terms``.
+# ``annotate_terms``.
 REFERENCE_RULES = {
     "noun": (("s", ""), ("ses", "s"), ("xes", "x"), ("zes", "z"), ("ches", "ch"),
              ("shes", "sh"), ("men", "man"), ("ies", "y")),
@@ -310,12 +280,6 @@ class TestCascadeAgainstReference:
                      for rules in REFERENCE_RULES.values()
                      for suffix, replacement in rules if lemma.endswith(replacement)}
         return sorted(set(lemmas) | inflected | {"", "s", "es", "ing", "zzyzx", "qqmen"})
-
-    def test_base_forms(self, wordnet_db, words):
-        for word in words:
-            for pos in ("noun", "verb"):
-                assert base_forms(wordnet_db, word, pos) == \
-                    reference_base_forms(wordnet_db, word, pos), (word, pos)
 
     def test_annotations(self, wordnet_db, words):
         # each word as its own stem, as the one surface of a stem no index

@@ -16,7 +16,8 @@ differs. The cases:
 - the same database under ``filter-nonwordnet --min-count 2``
 - ``weigh`` on the minicorpus, WordNet off, for each scheme in each
   export format (the export not restricted to key terms)
-- ``stats`` and ``preprocess`` on the minicorpus
+- ``stats`` and ``preprocess`` on the minicorpus, and on its
+  ``grainfarm`` class directory read as ``--layout flat``
 - seed 301 of each ``perfbench`` workload, with the workload's own
   ``select`` arguments (its inputs are generated into
   ``.perfbench-cache/`` on first use), and ``stats`` and ``preprocess``
@@ -77,6 +78,8 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
                            "--scheme", scheme, "--format", fmt]))
     for command in ("stats", "preprocess"):
         found.append((f"minicorpus, {command}", [command, *base[1:]]))
+        found.append((f"minicorpus grainfarm, flat, {command}",
+                      [command, str(mini / "grainfarm"), "--layout", "flat"]))
     for name, workload in perfbench.WORKLOADS.items():
         data = perfbench.inputs(name, SEED)
         wordnet_dir = data / "wordnet" if workload.wordnet else None
