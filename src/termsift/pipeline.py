@@ -138,33 +138,33 @@ def extract_terms(corpus: corpus_io.DocumentSet, stopwords: corpus_io.StopwordLi
 
 def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: PipelineConfig
                      ) -> tuple[weighting.CorpusIndex, dict[str, wordnet.LexEntry]]:
-    """Steps 4-5: WordNet annotation (and filtering), then the frequency floor."""
+    """Steps 4-5: WordNet annotation (and filtering), then the frequency floor.
+
+    A term's corpus total does not depend on other terms, so the two filters
+    commute: the vectors are restricted once, to the terms both keep."""
     vectors = terms.vectors
     annotations: dict[str, wordnet.LexEntry] = {}
+    keep: set[str] | None = None
     if db is not None:
         log.info(f"step 4/7: WordNet lexical-category annotation (policy={config.wordnet_policy})")
-        vectors, annotations = wordnet.annotate_terms(
-            db, vectors, terms.originals, policy=config.wordnet_policy
-        )
-        # every term is annotated, and a filter keeps exactly those with a category
-        before = len(annotations)
-        after = (before if config.wordnet_policy == "annotate-only"
-                 else sum(1 for e in annotations.values() if e.categories))
-        log.info("vocabulary: %d terms before WordNet step, %d after", before, after)
+        categorised, annotations = wordnet.annotate_terms(db, terms.originals)
+        if config.wordnet_policy == "filter-nonwordnet":
+            keep = categorised
+        log.info("vocabulary: %d terms before WordNet step, %d after",
+                 len(annotations), len(annotations if keep is None else keep))
     else:
         log.info("step 4/7 skipped (wordnet off)")
 
     log.info("step 5/7: global unique words and frequency floor")
     if config.min_count > 1:
         frequent = weighting.frequent_terms(vectors, config.min_count)
-        vectors = [
-            TermVector(
-                doc_id=v.doc_id,
-                counts={t: c for t, c in v.counts.items() if t in frequent},
-                total=sum(c for t, c in v.counts.items() if t in frequent),
-            )
-            for v in vectors
-        ]
+        keep = frequent if keep is None else keep & frequent
+    if keep is not None:
+        vectors = []
+        for v in terms.vectors:
+            counts = {t: c for t, c in v.counts.items() if t in keep}
+            vectors.append(TermVector(doc_id=v.doc_id, counts=counts,
+                                      total=sum(counts.values())))
     with _stage_errors("build_index"):
         index = weighting.build_index(vectors)
     return index, annotations

@@ -14,8 +14,10 @@ file and line.
 A parsed database is cached in ``$XDG_CACHE_HOME/termsift/`` (default
 ``~/.cache/termsift/``), one file per database directory, keyed by the
 SHA-256 of the five files' contents; a changed database is parsed and
-checked again. The cache never fails a load: an unreadable, stale or
-corrupt entry counts as a miss, and a failed write is logged and ignored.
+checked again. Each entry records its database directory, and every
+cache write removes the entries whose directory no longer exists. The
+cache never fails a load: an unreadable, stale or corrupt entry counts
+as a miss, and a failed write or removal is logged and ignored.
 """
 
 from __future__ import annotations
@@ -33,18 +35,18 @@ from pathlib import Path
 from typing import Iterable
 
 from termsift.errors import WordNetFormatError
-from termsift.textprep import TermVector
 
 log = logging.getLogger("termsift.wordnet")
 
 REQUIRED_FILES = ("index.noun", "data.noun", "index.verb", "data.verb", "lexnames")
 
 # Bump when WordNetDb or the cache file layout changes; the key covers it.
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 _CACHE_TAG = (f"termsift wordnet cache {_CACHE_FORMAT}, marshal {marshal.version}, "
               f"python {sys.version_info[0]}.{sys.version_info[1]}").encode()
 _DIGEST_SIZE = hashlib.sha256().digest_size
 _HASH_CHUNK = 1 << 20
+_PATH_MAX = 4096  # bytes of an entry's recorded directory read when pruning
 
 _VERSION_RE = re.compile(r"WordNet\s+(\d+\.\d+)")
 _NO_CATEGORIES: frozenset[str] = frozenset()
@@ -208,11 +210,12 @@ def load_wordnet(directory: str | Path) -> WordNetDb:
         return db
     db = _parse_wordnet(root)  # raises on a malformed database, before anything is cached
     try:
-        _write_cache(cache, key, db)
+        _write_cache(cache, key, root.resolve(), db)
     except OSError as exc:
         log.info("parsed WordNet; cache not written to %s: %s", cache, exc)
     else:
         log.info("parsed WordNet and wrote the cache %s", cache)
+    _prune_cache(cache.parent)
     return db
 
 
@@ -256,17 +259,22 @@ def _content_key(root: Path) -> bytes:
 def _read_cache(path: Path, key: bytes) -> WordNetDb | None:
     """The cached database if ``path`` holds one under ``key`` intact, else None.
 
-    File layout: the key, the SHA-256 of the payload, then the payload,
+    File layout: the key, the SHA-256 of the rest, then the rest: the
+    database directory's resolved path, a NUL byte and the payload,
     ``marshal.dumps((noun, verb, synset_count, version))``."""
     try:
         blob = path.read_bytes()
     except OSError:
         return None
     head = 2 * _DIGEST_SIZE
-    payload = memoryview(blob)[head:]  # a view, not a second copy of the payload
+    rest = memoryview(blob)[head:]  # views, not second copies of the payload
     if (blob[:_DIGEST_SIZE] != key
-            or blob[_DIGEST_SIZE:head] != hashlib.sha256(payload).digest()):
+            or blob[_DIGEST_SIZE:head] != hashlib.sha256(rest).digest()):
         return None
+    end = blob.find(b"\0", head)
+    if end < 0:
+        return None
+    payload = rest[end + 1 - head:]
     try:
         value = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
@@ -280,23 +288,50 @@ def _read_cache(path: Path, key: bytes) -> WordNetDb | None:
     return WordNetDb(noun=noun, verb=verb, synset_count=synset_count, version=version)
 
 
-def _write_cache(path: Path, key: bytes, db: WordNetDb) -> None:
-    """Write the entry to a temporary file beside ``path`` and rename it into
-    place, so a reader sees the old entry or the whole new one."""
+def _write_cache(path: Path, key: bytes, source: Path, db: WordNetDb) -> None:
+    """Write the entry of the database in ``source`` to a temporary file beside
+    ``path`` and rename it into place, so a reader sees the old entry or the
+    whole new one."""
     path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
             # marshal writes each shared category set once and loads it back shared
             payload = marshal.dumps((db.noun, db.verb, db.synset_count, db.version))
+            recorded = os.fsencode(source) + b"\0"
+            digest = hashlib.sha256(recorded)
+            digest.update(payload)
             f.write(key)
-            f.write(hashlib.sha256(payload).digest())
+            f.write(digest.digest())
+            f.write(recorded)
             f.write(payload)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _prune_cache(cache_dir: Path) -> None:
+    """Remove the entries whose recorded database directory no longer exists;
+    an entry that cannot be read or removed is logged and left."""
+    try:
+        entries = sorted(cache_dir.glob("wordnet-*.marshal"))
+    except OSError as exc:
+        log.info("WordNet cache %s not pruned: %s", cache_dir, exc)
+        return
+    for entry in entries:
+        try:
+            with entry.open("rb") as f:
+                head = f.read(2 * _DIGEST_SIZE + _PATH_MAX)
+            source, nul, _ = head[2 * _DIGEST_SIZE:].partition(b"\0")
+            # an entry of an older layout records no directory, so it is left
+            if nul and os.path.isabs(source) and not os.path.isdir(source):
+                entry.unlink()
+                log.info("removed the WordNet cache entry %s of the deleted database %s",
+                         entry, os.fsdecode(source))
+        except OSError as exc:
+            log.info("WordNet cache entry %s not pruned: %s", entry, exc)
 
 
 def _categories_for(db: WordNetDb, word: str) -> frozenset[str]:
@@ -343,27 +378,11 @@ def _lookup(db: WordNetDb, stem: str, surfaces: Iterable[str]) -> LexEntry:
     return LexEntry(lemma=stem, categories=frozenset(base_cats))
 
 
-def annotate_terms(
-    db: WordNetDb,
-    vectors: list[TermVector],
-    originals: dict[str, set[str]],
-    policy: str = "annotate-only",
-) -> tuple[list[TermVector], dict[str, LexEntry]]:
-    """Map every term to its lexical categories; optionally drop non-WordNet terms.
-
-    Under ``annotate-only`` the vectors pass through unchanged; under
-    ``filter-nonwordnet`` terms without any category are removed from
-    every vector and totals are recomputed.
-    """
-    if policy not in ("annotate-only", "filter-nonwordnet"):
-        raise ValueError(f"unknown wordnet policy {policy!r}")
-    vocabulary = sorted({t for v in vectors for t in v.counts})
-    annotations = {term: _lookup(db, term, originals.get(term, ())) for term in vocabulary}
-    if policy == "annotate-only":
-        return vectors, annotations
-    kept = {term for term, entry in annotations.items() if entry.categories}
-    filtered = []
-    for v in vectors:
-        counts = {t: c for t, c in v.counts.items() if t in kept}
-        filtered.append(TermVector(doc_id=v.doc_id, counts=counts, total=sum(counts.values())))
-    return filtered, annotations
+def annotate_terms(db: WordNetDb, originals: dict[str, set[str]]
+                   ) -> tuple[set[str], dict[str, LexEntry]]:
+    """Map every stem in ``originals`` (stem -> its surface forms) to its
+    lexical categories; return the stems that have a category, and every
+    stem's entry."""
+    annotations = {term: _lookup(db, term, surfaces)
+                   for term, surfaces in sorted(originals.items())}
+    return {term for term, entry in annotations.items() if entry.categories}, annotations

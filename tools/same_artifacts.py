@@ -11,11 +11,13 @@ differs. The cases:
 
 - ``select`` on the bundled minicorpus with WordNet off
 - the same with ``--format csv --aggregation mean --gamma 0.001``
+- the same with ``--log-base 2 --aggregation mean``
 - the same corpus with the ``tests/wn_fixture.py`` database under
   ``annotate-only``
 - the same database under ``filter-nonwordnet --min-count 2``
 - ``weigh`` on the minicorpus, WordNet off, for each scheme in each
-  export format (the export not restricted to key terms)
+  export format (the export not restricted to key terms), and for
+  ``--scheme tf2 --log-base 10``
 - ``stats`` and ``preprocess`` on the minicorpus, and on its
   ``grainfarm`` class directory read as ``--layout flat``
 - seed 301 of each ``perfbench`` workload, with the workload's own
@@ -65,6 +67,8 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
         ("minicorpus, WordNet off, csv, mean, gamma 0.001",
          base + ["--wordnet-policy", "off", "--format", "csv", "--aggregation", "mean",
                  "--gamma", "0.001"]),
+        ("minicorpus, WordNet off, log base 2, mean",
+         base + ["--wordnet-policy", "off", "--log-base", "2", "--aggregation", "mean"]),
         ("minicorpus, fixture WordNet, annotate-only",
          base + ["--wordnet-dir", db, "--wordnet-policy", "annotate-only"]),
         ("minicorpus, fixture WordNet, filter-nonwordnet --min-count 2",
@@ -76,6 +80,9 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
             found.append((f"minicorpus, weigh --scheme {scheme} --format {fmt}",
                           ["weigh", *base[1:], "--wordnet-policy", "off",
                            "--scheme", scheme, "--format", fmt]))
+    found.append(("minicorpus, weigh --scheme tf2 --log-base 10",
+                  ["weigh", *base[1:], "--wordnet-policy", "off", "--scheme", "tf2",
+                   "--log-base", "10"]))
     for command in ("stats", "preprocess"):
         found.append((f"minicorpus, {command}", [command, *base[1:]]))
         found.append((f"minicorpus grainfarm, flat, {command}",
