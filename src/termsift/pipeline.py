@@ -110,19 +110,21 @@ def _stage_errors(name: str):
 def extract_terms(corpus: corpus_io.DocumentSet, stopwords: corpus_io.StopwordList) -> TermVectors:
     """Steps 1-3: tokenize, drop stop words (matched on surface forms), stem.
 
-    The stemmer is a pure function of the word, so each distinct surface
-    token is stemmed once per call and the result reused."""
+    Each document goes through all three steps before the next is read,
+    so only one document's tokens exist at a time; the three step lines
+    are logged before the first document. The stemmer is a pure function
+    of the word, so each distinct surface token is stemmed once per call
+    and the result reused."""
     log.info("step 1/7: extracting term sets (tokenization)")
-    tokenized = [tokenize(d.text) for d in corpus]
-    token_counts = [len(tokens) for tokens in tokenized]
-
     log.info("step 2/7: removing stop words")
-    tokenized = [remove_stopwords(tokens, stopwords) for tokens in tokenized]
-
     log.info("step 3/7: applying Porter stemming")
     stem_of: dict[str, str] = {}
     vectors: list[TermVector] = []
-    for doc, tokens in zip(corpus, tokenized):
+    token_counts: list[int] = []
+    for doc in corpus:
+        tokens = tokenize(doc.text)
+        token_counts.append(len(tokens))
+        tokens = remove_stopwords(tokens, stopwords)
         counts: dict[str, int] = {}
         for token, n in Counter(tokens).items():
             if token not in stem_of:
@@ -141,8 +143,7 @@ def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: P
     """Steps 4-5: WordNet annotation (and filtering), then the frequency floor.
 
     A term's corpus total does not depend on other terms, so the two filters
-    commute: the vectors are restricted once, to the terms both keep."""
-    vectors = terms.vectors
+    commute: ``build_index`` restricts the vectors once, to the terms both keep."""
     annotations: dict[str, wordnet.LexEntry] = {}
     keep: set[str] | None = None
     if db is not None:
@@ -157,16 +158,10 @@ def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: P
 
     log.info("step 5/7: global unique words and frequency floor")
     if config.min_count > 1:
-        frequent = weighting.frequent_terms(vectors, config.min_count)
+        frequent = weighting.frequent_terms(terms.vectors, config.min_count)
         keep = frequent if keep is None else keep & frequent
-    if keep is not None:
-        vectors = []
-        for v in terms.vectors:
-            counts = {t: c for t, c in v.counts.items() if t in keep}
-            vectors.append(TermVector(doc_id=v.doc_id, counts=counts,
-                                      total=sum(counts.values())))
     with _stage_errors("build_index"):
-        index = weighting.build_index(vectors)
+        index = weighting.build_index(terms.vectors, keep)
     return index, annotations
 
 
@@ -230,6 +225,7 @@ def run_chain(config: PipelineConfig, last_step: int = 7,
     terms = extract_terms(corpus, stopwords)
     result = PipelineResult(stats=corpus_io.corpus_summary(corpus, terms.token_counts),
                             stopwords=stopwords, db=db)
+    del corpus  # steps 4-7 read no document text
     if last_step == 3:
         result.terms = terms
         return result

@@ -11,15 +11,19 @@ A term is a key term when its aggregated weight (max over documents by
 default) clears the scheme's threshold.
 
 The index holds one row per document: its term ids in ascending order and
-their TF values. A matrix maps those rows to weights, sharing the id rows,
-and exports walk them in (doc, term) order.
+their TF values, each row a flat ``array`` of C ints or doubles. A matrix
+maps those rows to weights, sharing the id rows, and exports stream them to
+the file in (doc, term) order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from array import array
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Container, Mapping
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,13 +41,15 @@ class CorpusIndex:
     """Global vocabulary, document frequencies and one row per document.
 
     Row ``i`` is ``term_ids[i]``, the document's term ids in ascending
-    order, with ``tf[i]``, their relative frequencies ``f / total``."""
+    order as an ``array('i')``, with ``tf[i]``, their relative frequencies
+    ``f / total`` as an ``array('d')``: 4 and 8 bytes a cell, where a tuple
+    of boxed floats takes about 32."""
 
     vocabulary: tuple[str, ...]
     doc_ids: tuple[str, ...]
     df: tuple[int, ...]  # documents containing each term id
-    term_ids: tuple[tuple[int, ...], ...]
-    tf: tuple[tuple[float, ...], ...]
+    term_ids: tuple[array, ...]
+    tf: tuple[array, ...]
 
     @property
     def doc_count(self) -> int:
@@ -70,12 +76,13 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """One weight per populated cell, stored as the index's rows: ``weights[i]``
-    is aligned with ``term_ids[i]``, the tuple the index holds for document i."""
+    """One weight per populated cell, stored as the index's rows: ``weights[i]``,
+    an ``array('d')``, is aligned with ``term_ids[i]``, the ``array('i')`` the
+    index holds for document i."""
 
     scheme: str
-    term_ids: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[float, ...], ...]
+    term_ids: tuple[array, ...]
+    weights: tuple[array, ...]
     doc_ids: tuple[str, ...]
     vocabulary: tuple[str, ...]
 
@@ -140,23 +147,32 @@ def removed_percentage(removed: int, vocabulary_size: int) -> str:
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
-def build_index(vectors: Sequence[TermVector]) -> CorpusIndex:
-    """Vocabulary (sorted), per-term document frequencies and the document rows."""
+def build_index(vectors: Sequence[TermVector], keep: Container[str] | None = None
+                ) -> CorpusIndex:
+    """Vocabulary (sorted), per-term document frequencies and the document rows.
+
+    With ``keep``, only the terms in it are indexed, and each row's TF
+    divides by the document's count of kept terms."""
     if not vectors:
         raise EmptyCorpusError("cannot build an index from zero documents")
     df: dict[str, int] = {}
     for v in vectors:
         for term in v.counts:
             df[term] = df.get(term, 0) + 1
-    vocabulary = tuple(sorted(df))
+    # a term's df does not depend on the other terms, so restricting after counting is exact
+    vocabulary = tuple(sorted(df if keep is None else [t for t in df if t in keep]))
     ids = {t: j for j, t in enumerate(vocabulary)}
     term_ids, tf = [], []
     for v in vectors:
         # the vocabulary is sorted, so sorted terms give ascending ids
-        terms = sorted(v.counts)
-        counts, total = v.counts, v.total
-        term_ids.append(tuple([ids[t] for t in terms]))
-        tf.append(tuple([counts[t] / total for t in terms]))
+        counts = v.counts
+        if keep is None:
+            terms, total = sorted(counts), v.total
+        else:
+            terms = sorted([t for t in counts if t in ids])
+            total = sum([counts[t] for t in terms])
+        term_ids.append(array("i", [ids[t] for t in terms]))
+        tf.append(array("d", [counts[t] / total for t in terms]))
     return CorpusIndex(
         vocabulary=vocabulary,
         doc_ids=tuple(v.doc_id for v in vectors),
@@ -185,13 +201,13 @@ def compute_matrix(index: CorpusIndex, scheme: str, log_base: float = math.e) ->
     df = index.df
     rows = zip(index.term_ids, index.tf)
     if scheme == "tfdf":
-        weights = [tuple([tf * n / df[j] for j, tf in zip(ids, tfs)]) for ids, tfs in rows]
+        weights = [array("d", [tf * n / df[j] for j, tf in zip(ids, tfs)]) for ids, tfs in rows]
     else:
         idf = [math.log(n / d, log_base) for d in df]
         if scheme == "tfidf":
-            weights = [tuple([tf * idf[j] for j, tf in zip(ids, tfs)]) for ids, tfs in rows]
+            weights = [array("d", [tf * idf[j] for j, tf in zip(ids, tfs)]) for ids, tfs in rows]
         else:
-            weights = [tuple([(tf * idf[j]) * (tf * n / df[j]) for j, tf in zip(ids, tfs)])
+            weights = [array("d", [(tf * idf[j]) * (tf * n / df[j]) for j, tf in zip(ids, tfs)])
                        for ids, tfs in rows]
     return WeightMatrix(scheme=scheme, term_ids=index.term_ids, weights=tuple(weights),
                         doc_ids=index.doc_ids, vocabulary=index.vocabulary)
@@ -259,6 +275,22 @@ def csv_field(value: str) -> str:
     return value
 
 
+@contextmanager
+def _replacing(out: Path):
+    """A text file that becomes ``out`` only when the block completes: it is
+    written beside ``out`` and renamed over it, and removed on any error."""
+    tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "x", encoding="utf-8")  # "x": never truncate a file this call did not make
+    try:
+        with f:
+            yield f
+        os.replace(tmp, out)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 def export_matrix(
     matrix: WeightMatrix,
     path: str | Path,
@@ -271,7 +303,13 @@ def export_matrix(
     Weights print with 10 significant digits, dot decimal separator. A
     document id holding a comma, double quote or line break is quoted the
     RFC 4180 way; terms are letters only, so they never need it.
+
+    The file is written one document at a time to a temporary file beside
+    ``path``, then renamed over it, so a failed export leaves whatever was
+    at ``path`` before.
     """
+    if fmt not in EXPORT_FORMATS:
+        raise ValueError(f"unknown export format {fmt!r}")
     out = Path(path)
     vocabulary = matrix.vocabulary
     if key_terms is not None:
@@ -279,30 +317,32 @@ def export_matrix(
     else:
         keep = range(len(vocabulary))
     rows = zip(map(csv_field, matrix.doc_ids), matrix.term_ids, matrix.weights)
-    if fmt == "csv":
-        column: list[int | None] = [None] * len(vocabulary)
-        for c, j in enumerate(keep):
-            column[j] = c
-        lines = [",".join(["doc_id", *(vocabulary[j] for j in keep)])]
-        zero_row = ",0" * len(keep)  # the cells of a document with no kept term
-        for doc_id, ids, ws in rows:
-            cells = None
-            for j, w in zip(ids, ws):
-                c = column[j]
-                if c is not None:
-                    if cells is None:
-                        cells = ["0"] * len(keep)
-                    cells[c] = f"{w:.10g}"
-            lines.append(doc_id + zero_row if cells is None else ",".join([doc_id, *cells]))
-    elif fmt == "coordinate-triplet":
-        kept = set(keep)
-        lines = [
-            f"{doc_id},{vocabulary[j]},{w:.10g}"
-            for doc_id, ids, ws in rows
-            for j, w in zip(ids, ws)
-            if j in kept
-        ]
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _replacing(out) as f:
+        if fmt == "csv":
+            column: list[int | None] = [None] * len(vocabulary)
+            for c, j in enumerate(keep):
+                column[j] = c
+            f.write(",".join(["doc_id", *(vocabulary[j] for j in keep)]) + "\n")
+            zero_row = ",0" * len(keep) + "\n"  # the cells of a document with no kept term
+            for doc_id, ids, ws in rows:
+                cells = None
+                for j, w in zip(ids, ws):
+                    c = column[j]
+                    if c is not None:
+                        if cells is None:
+                            cells = ["0"] * len(keep)
+                        cells[c] = f"{w:.10g}"
+                f.write(doc_id + zero_row if cells is None
+                        else ",".join([doc_id, *cells]) + "\n")
+        else:
+            kept = set(keep)
+            written = False
+            for doc_id, ids, ws in rows:
+                lines = [f"{doc_id},{vocabulary[j]},{w:.10g}\n"
+                         for j, w in zip(ids, ws) if j in kept]
+                if lines:
+                    f.write("".join(lines))
+                    written = True
+            if not written:
+                f.write("\n")  # a file with no triplet is one empty line
     return out

@@ -416,9 +416,10 @@ class TestWeighSelectParity:
         indexed = []
         build_index = weighting.build_index
 
-        def spy(vectors):
-            indexed.append(list(vectors))
-            return build_index(vectors)
+        def spy(vectors, keep=None):
+            indexed.append([(v.doc_id, {t: c for t, c in v.counts.items()
+                                        if keep is None or t in keep}) for v in vectors])
+            return build_index(vectors, keep)
 
         monkeypatch.setattr(weighting, "build_index", spy)
         flags = [str(minicorpus_dir), "--layout", "class-subdirectories"]
@@ -426,5 +427,6 @@ class TestWeighSelectParity:
         assert code == EXIT_OK
         code, out, _ = run(capsys, "preprocess", *flags)
         assert code == EXIT_OK
-        expected = [f"{v.doc_id},{t},{v.counts[t]}" for v in indexed[0] for t in sorted(v.counts)]
+        expected = [f"{doc_id},{t},{counts[t]}" for doc_id, counts in indexed[0]
+                    for t in sorted(counts)]
         assert out.splitlines() == expected

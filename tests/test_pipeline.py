@@ -1,8 +1,11 @@
 import logging
 import math
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termsift import corpus as corpus_io
 from termsift import pipeline, porter, wordnet
@@ -92,6 +95,32 @@ class TestExtractTerms:
             {"poni": 2, "run": 2}, {"poni": 1, "run": 2}, {"poni": 3}]
         assert [v.total for v in terms.vectors] == [4, 3, 3]
         assert terms.originals == {"poni": {"ponies", "pony"}, "run": {"run", "runs"}}
+
+    # words that share stems, stop words, one-letter words, and ids that need quoting
+    WORDS = ("the", "of", "a", "is", "x", "pony", "ponies", "run", "runs", "running",
+             "grain", "grains", "market", "marketing", "wheat", "connection", "connected")
+    TEXT = st.lists(st.sampled_from(WORDS) | st.text("ab7 ,.\n", max_size=4), max_size=30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(TEXT, min_size=1, max_size=8))
+    def test_matches_a_whole_corpus_reference(self, texts):
+        docs = [RawDocument(f"d,{i}", " ".join(words).upper() if i % 3 == 0
+                            else " ".join(words)) for i, words in enumerate(texts)]
+        terms = extract(*docs)
+        # the reference runs each step over the whole corpus before the next
+        tokenized = [re.findall("[a-z]+", d.text.lower()) for d in docs]
+        tokenized = [[t for t in tokens if len(t) >= 2] for tokens in tokenized]
+        token_counts = [len(tokens) for tokens in tokenized]
+        kept = [[t for t in tokens if t not in SW.words] for tokens in tokenized]
+        stems = [[porter.stem(t) for t in tokens] for tokens in kept]
+        originals = {}
+        for tokens, stemmed in zip(kept, stems):
+            for t, s in zip(tokens, stemmed):
+                originals.setdefault(s, set()).add(t)
+        assert terms.token_counts == token_counts
+        assert [(v.doc_id, dict(v.counts), v.total) for v in terms.vectors] == [
+            (d.doc_id, dict(Counter(stemmed)), len(stemmed)) for d, stemmed in zip(docs, stems)]
+        assert terms.originals == originals
 
 
 class TestValidation:

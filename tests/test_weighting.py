@@ -1,13 +1,16 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termsift import weighting
 from termsift.errors import EmptyCorpusError
 from termsift.textprep import TermVector
 from termsift.weighting import (
+    EXPORT_FORMATS,
     SCHEMES,
     Thresholds,
     WeightMatrix,
@@ -88,8 +91,8 @@ class TestIndex:
     def test_rows_hold_ascending_term_ids_and_relative_frequencies(self):
         index = build_index([vec("a", {"z": 1, "a": 3}), vec("b", {}), vec("c", {"m": 2})])
         assert index.vocabulary == ("a", "m", "z")
-        assert index.term_ids == ((0, 2), (), (1,))
-        assert index.tf == ((3 / 4, 1 / 4), (), (2 / 2,))
+        assert [tuple(r) for r in index.term_ids] == [(0, 2), (), (1,)]
+        assert [tuple(r) for r in index.tf] == [(3 / 4, 1 / 4), (), (2 / 2,)]
         assert index.df == (1, 1, 1)
         assert index.doc_count == 3
 
@@ -471,6 +474,46 @@ class TestExport:
         matrix = compute_matrix(self.INDEX, "tfdf")
         with pytest.raises(ValueError):
             export_matrix(matrix, tmp_path / "m.x", fmt="parquet")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
+    def test_failed_export_leaves_the_previous_file(self, tmp_path, monkeypatch, fmt):
+        matrix = compute_matrix(self.INDEX, "tfdf")
+        path = tmp_path / "m.out"
+        path.write_bytes(b"previous run\n")
+        seen = []
+
+        def failing_field(value):
+            seen.append(value)
+            if len(seen) == 2:
+                raise OSError("disk full")
+            return value
+
+        monkeypatch.setattr(weighting, "csv_field", failing_field)
+        with pytest.raises(OSError, match="disk full"):
+            export_matrix(matrix, path, fmt=fmt)
+        assert seen == ["a", "b"]  # it failed after the first document was written
+        assert path.read_bytes() == b"previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.out"]
+
+    @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
+    def test_memory_does_not_follow_the_file_size(self, tmp_path, fmt):
+        # 500 documents x 200 of 5,000 terms: about 100,000 cells, a 2-6 MB file
+        rng = random.Random(7)
+        terms = [f"t{k:04d}" for k in range(5000)]
+        index = build_index([vec(f"d{i}", {t: rng.randint(1, 9) for t in rng.sample(terms, 200)})
+                             for i in range(500)])
+        matrix = compute_matrix(index, "tfidf")
+        path = tmp_path / "m.out"
+        tracemalloc.start()
+        try:
+            export_matrix(matrix, path, fmt=fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2_000_000
+        assert peak < size / 2, f"traced peak {peak} bytes for a {size}-byte file"
 
     def test_ten_significant_digits(self, tmp_path):
         matrix = compute_matrix(self.INDEX, "tfidf")

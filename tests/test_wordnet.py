@@ -355,7 +355,7 @@ class TestAnnotate:
         assert not annotations["qqfoo"].in_wordnet
         index, kept = self.vocabulary(wordnet_db, "annotate-only")
         assert index.vocabulary == ("agre", "dog", "poni", "qqfoo")
-        assert index.tf == ((1 / 4, 2 / 4, 1 / 4), (3 / 5, 2 / 5))
+        assert [tuple(r) for r in index.tf] == [(1 / 4, 2 / 4, 1 / 4), (3 / 5, 2 / 5)]
         assert kept == annotations
 
     def test_lookup_cascade_surface_then_base(self, wordnet_db):
@@ -368,13 +368,13 @@ class TestAnnotate:
     def test_filter_policy_drops_unknown_terms(self, wordnet_db):
         index, annotations = self.vocabulary(wordnet_db, "filter-nonwordnet")
         assert index.vocabulary == ("agre", "dog", "poni")
-        assert index.tf == ((1 / 3, 2 / 3), (3 / 3,))  # totals recomputed
+        assert [tuple(r) for r in index.tf] == [(1 / 3, 2 / 3), (3 / 3,)]  # totals recomputed
         assert "qqfoo" in annotations  # still annotated, just filtered
         # corpus totals: dog 2, qqfoo 3, agre 1, poni 3; the floor keeps
         # qqfoo and poni, and the filter of those only poni
         index, _ = self.vocabulary(wordnet_db, "filter-nonwordnet", min_count=3)
         assert index.vocabulary == ("poni",)
-        assert index.tf == ((), (3 / 3,))
+        assert [tuple(r) for r in index.tf] == [(), (3 / 3,)]
 
 
 class TestPinnedOutputs:

@@ -12,6 +12,10 @@ differs. The cases:
 - ``select`` on the bundled minicorpus with WordNet off
 - the same with ``--format csv --aggregation mean --gamma 0.001``
 - the same with ``--log-base 2 --aggregation mean``
+- the same with ``--alpha 1e9 --beta 1e9 --gamma 1e9``, so no scheme
+  keeps a term, once with ``--format csv`` and once with
+  ``--format coordinate-triplet`` (CSVs of bare document ids under a
+  ``doc_id`` header, and triplet files holding one empty line)
 - the same corpus with the ``tests/wn_fixture.py`` database under
   ``annotate-only``
 - the same database under ``filter-nonwordnet --min-count 2``
@@ -69,6 +73,10 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
                  "--gamma", "0.001"]),
         ("minicorpus, WordNet off, log base 2, mean",
          base + ["--wordnet-policy", "off", "--log-base", "2", "--aggregation", "mean"]),
+        *((f"minicorpus, WordNet off, empty key sets, {fmt}",
+           base + ["--wordnet-policy", "off", "--alpha", "1e9", "--beta", "1e9",
+                   "--gamma", "1e9", "--format", fmt])
+          for fmt in ("csv", "coordinate-triplet")),
         ("minicorpus, fixture WordNet, annotate-only",
          base + ["--wordnet-dir", db, "--wordnet-policy", "annotate-only"]),
         ("minicorpus, fixture WordNet, filter-nonwordnet --min-count 2",
