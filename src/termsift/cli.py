@@ -102,11 +102,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
+    """Each key -> where its value was set (``<file>:<line>``) and the value."""
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"config file not found: {p}")
-    values: dict[str, str] = {}
+    values: dict[str, tuple[str, str]] = {}
     for lineno, raw in enumerate(p.read_bytes().splitlines(), 1):
         try:
             line = raw.decode("utf-8")
@@ -118,7 +119,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ValueError(f"{p}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        values[key.strip().replace("-", "_")] = (f"{p}:{lineno}", value.strip())
     return values
 
 
@@ -137,10 +138,13 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Flags win over the config file; unset fields keep PipelineConfig's defaults."""
     values: dict[str, object] = {}
     if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
+        for key, (where, raw) in _read_config_file(args.config).items():
             if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r} in {args.config}")
-            values[key] = _CONFIG_KEYS[key][1](raw)
+                raise ValueError(f"{where}: unknown config key {key!r}")
+            try:
+                values[key] = _CONFIG_KEYS[key][1](raw)
+            except ValueError as exc:
+                raise ValueError(f"{where}: invalid value for {key!r}: {exc}") from exc
     values.update({key: getattr(args, key) for key in _CONFIG_KEYS
                    if getattr(args, key, None) is not None})
     if args.corpus_pos:

@@ -9,15 +9,23 @@ categories (26 noun.* + 15 verb.*).
 
 The load keeps only what lookup reads: each lemma's set of category
 names. Every line is still checked, and a bad one raises naming its
-file and line.
+file and line. The maps are split by the shape of the lemma. A
+token-shaped lemma (``[a-z]+``) goes into ``WordNetDb.noun``/``.verb``,
+the only maps the pipeline reads: every word it looks up is a token, a
+Porter stem or a detached base form, all letters only. Every other
+lemma (collocations such as ``domestic_dog``, hyphens, digits,
+apostrophes) is held as one marshalled ``bytes`` value, decoded only
+when ``lexical_categories`` is asked for such a word.
 
 A parsed database is cached in ``$XDG_CACHE_HOME/termsift/`` (default
 ``~/.cache/termsift/``), one file per database directory, keyed by the
 SHA-256 of the five files' contents; a changed database is parsed and
-checked again. Each entry records its database directory, and every
-cache write removes the entries whose directory no longer exists. The
-cache never fails a load: an unreadable, stale or corrupt entry counts
-as a miss, and a failed write or removal is logged and ignored.
+checked again. A hit decodes only the token-shaped maps and keeps the
+other lemmas as the bytes it read. Each entry records its database
+directory, and every cache write removes the entries whose directory no
+longer exists. The cache never fails a load: an unreadable, stale or
+corrupt entry counts as a miss, and a failed write or removal is logged
+and ignored.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -41,7 +50,7 @@ log = logging.getLogger("termsift.wordnet")
 REQUIRED_FILES = ("index.noun", "data.noun", "index.verb", "data.verb", "lexnames")
 
 # Bump when WordNetDb or the cache file layout changes; the key covers it.
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 _CACHE_TAG = (f"termsift wordnet cache {_CACHE_FORMAT}, marshal {marshal.version}, "
               f"python {sys.version_info[0]}.{sys.version_info[1]}").encode()
 _DIGEST_SIZE = hashlib.sha256().digest_size
@@ -94,14 +103,26 @@ class LexEntry:
 
 @dataclass(frozen=True)
 class WordNetDb:
-    noun: dict[str, frozenset[str]]  # lemma -> category names of its noun synsets
+    # token-shaped lemma ([a-z]+) -> category names of its noun synsets
+    noun: dict[str, frozenset[str]]
     verb: dict[str, frozenset[str]]
+    # marshal.dumps((noun, verb)) of the maps of every other lemma
+    other_lemmas: bytes
+    lemma_count: int  # noun and verb lemmas of both shapes
     synset_count: int
     version: str
 
-    @property
-    def lemma_count(self) -> int:
-        return len(self.noun) + len(self.verb)
+    @cached_property
+    def other_maps(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+        """The noun and verb maps of the lemmas that are not token-shaped,
+        decoded on first use and kept."""
+        return marshal.loads(self.other_lemmas)
+
+
+def _token_shaped(word: str) -> bool:
+    """Whether ``word`` matches ``[a-z]+``, the shape of every word the pipeline
+    looks up (ASCII letters, none of them upper case)."""
+    return word.isascii() and word.isalpha() and word.islower()
 
 
 def _parse_lexnames(path: Path) -> dict[int, str]:
@@ -158,9 +179,12 @@ def _parse_data(path: Path, pos: str, lexnames: dict[int, str]) -> tuple[dict[in
 
 
 def _parse_index(path: Path, pos: str, categories: dict[int, str],
-                 interned: dict[frozenset[str], frozenset[str]]) -> dict[str, frozenset[str]]:
-    """Lemma -> category names of its synsets; equal sets share one object via ``interned``."""
+                 interned: dict[frozenset[str], frozenset[str]]
+                 ) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+    """Lemma -> category names of its synsets, for the token-shaped lemmas and
+    for the others; equal sets share one object via ``interned``."""
     index: dict[str, frozenset[str]] = {}
+    other: dict[str, frozenset[str]] = {}
     with path.open("rb") as f:
         for lineno, raw in enumerate(f, 1):
             if raw.startswith(b" "):
@@ -172,18 +196,18 @@ def _parse_index(path: Path, pos: str, categories: dict[int, str],
                     raise ValueError(f"part of speech {fields[1]!r}, expected {pos!r}")
                 synset_cnt = int(fields[2])
                 p_cnt = int(fields[3])
-                offsets = [int(o) for o in fields[6 + p_cnt:]]
+                offsets = list(map(int, fields[6 + p_cnt:]))
                 if len(offsets) != synset_cnt:
                     raise ValueError(f"{synset_cnt} synsets declared, {len(offsets)} offsets given")
             except (IndexError, ValueError) as exc:
                 raise WordNetFormatError(f"{path}:{lineno}: malformed index line: {exc}") from exc
             try:
-                cats = frozenset([categories[o] for o in offsets])
+                cats = frozenset(map(categories.__getitem__, offsets))
             except KeyError as exc:
                 raise WordNetFormatError(f"{path}:{lineno}: lemma {lemma!r} references unknown "
                                          f"synset offset {exc.args[0]}") from exc
-            index[lemma] = interned.setdefault(cats, cats)
-    return index
+            (index if _token_shaped(lemma) else other)[lemma] = interned.setdefault(cats, cats)
+    return index, other
 
 
 def load_wordnet(directory: str | Path) -> WordNetDb:
@@ -224,9 +248,13 @@ def _parse_wordnet(root: Path) -> WordNetDb:
     noun_synsets, version_n = _parse_data(root / "data.noun", "n", lexnames)
     verb_synsets, version_v = _parse_data(root / "data.verb", "v", lexnames)
     interned: dict[frozenset[str], frozenset[str]] = {}
+    noun, other_noun = _parse_index(root / "index.noun", "n", noun_synsets, interned)
+    verb, other_verb = _parse_index(root / "index.verb", "v", verb_synsets, interned)
     return WordNetDb(
-        noun=_parse_index(root / "index.noun", "n", noun_synsets, interned),
-        verb=_parse_index(root / "index.verb", "v", verb_synsets, interned),
+        noun=noun,
+        verb=verb,
+        other_lemmas=marshal.dumps((other_noun, other_verb)),
+        lemma_count=len(noun) + len(verb) + len(other_noun) + len(other_verb),
         synset_count=len(noun_synsets) + len(verb_synsets),
         version=version_n or version_v or "unknown",
     )
@@ -261,7 +289,8 @@ def _read_cache(path: Path, key: bytes) -> WordNetDb | None:
 
     File layout: the key, the SHA-256 of the rest, then the rest: the
     database directory's resolved path, a NUL byte and the payload,
-    ``marshal.dumps((noun, verb, synset_count, version))``."""
+    ``marshal.dumps((noun, verb, other_lemmas, lemma_count, synset_count,
+    version))``. ``other_lemmas`` stays bytes: it is not decoded here."""
     try:
         blob = path.read_bytes()
     except OSError:
@@ -279,13 +308,15 @@ def _read_cache(path: Path, key: bytes) -> WordNetDb | None:
         value = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
         return None
-    if not (isinstance(value, tuple) and len(value) == 4):
+    if not (isinstance(value, tuple) and len(value) == 6):
         return None
-    noun, verb, synset_count, version = value
+    noun, verb, other_lemmas, lemma_count, synset_count, version = value
     if not (isinstance(noun, dict) and isinstance(verb, dict)
+            and isinstance(other_lemmas, bytes) and type(lemma_count) is int
             and type(synset_count) is int and isinstance(version, str)):
         return None
-    return WordNetDb(noun=noun, verb=verb, synset_count=synset_count, version=version)
+    return WordNetDb(noun=noun, verb=verb, other_lemmas=other_lemmas,
+                     lemma_count=lemma_count, synset_count=synset_count, version=version)
 
 
 def _write_cache(path: Path, key: bytes, source: Path, db: WordNetDb) -> None:
@@ -296,8 +327,10 @@ def _write_cache(path: Path, key: bytes, source: Path, db: WordNetDb) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            # marshal writes each shared category set once and loads it back shared
-            payload = marshal.dumps((db.noun, db.verb, db.synset_count, db.version))
+            # marshal writes each shared category set once and loads it back
+            # shared; the other lemmas' maps are already marshalled bytes
+            payload = marshal.dumps((db.noun, db.verb, db.other_lemmas, db.lemma_count,
+                                     db.synset_count, db.version))
             recorded = os.fsencode(source) + b"\0"
             digest = hashlib.sha256(recorded)
             digest.update(payload)
@@ -335,12 +368,19 @@ def _prune_cache(cache_dir: Path) -> None:
 
 
 def _categories_for(db: WordNetDb, word: str) -> frozenset[str]:
+    """Categories of the token-shaped ``word``."""
     return db.noun.get(word, _NO_CATEGORIES) | db.verb.get(word, _NO_CATEGORIES)
 
 
 def lexical_categories(db: WordNetDb, word: str) -> LexEntry:
-    """Union of lexicographer categories over every noun/verb synset of ``word``."""
-    return LexEntry(lemma=word, categories=_categories_for(db, word))
+    """Union of lexicographer categories over every noun/verb synset of ``word``.
+
+    A token-shaped ``word`` (``[a-z]+``, as every word the pipeline looks up
+    is) reads only the token-shaped maps; any other word, such as
+    ``adult_male``, decodes the maps of the other lemmas on first use."""
+    noun, verb = (db.noun, db.verb) if _token_shaped(word) else db.other_maps
+    return LexEntry(lemma=word,
+                    categories=noun.get(word, _NO_CATEGORIES) | verb.get(word, _NO_CATEGORIES))
 
 
 def _detached(word: str, rules: tuple[tuple[str, str], ...],
@@ -382,7 +422,11 @@ def annotate_terms(db: WordNetDb, originals: dict[str, set[str]]
                    ) -> tuple[set[str], dict[str, LexEntry]]:
     """Map every stem in ``originals`` (stem -> its surface forms) to its
     lexical categories; return the stems that have a category, and every
-    stem's entry."""
+    stem's entry.
+
+    Stems and surfaces are token-shaped (``[a-z]+``), and so is every form
+    the detachment rules make from them, so only the token-shaped maps are
+    read."""
     annotations = {term: _lookup(db, term, surfaces)
                    for term, surfaces in sorted(originals.items())}
     return {term for term, entry in annotations.items() if entry.categories}, annotations

@@ -368,7 +368,18 @@ class TestConfigFile:
     def test_unknown_key(self, capsys, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mystery = 42\n")
-        assert run(capsys, "stats", str(corpus), "--config", str(cfg))[0] == EXIT_DATA
+        code, _, err = run(capsys, "stats", str(corpus), "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert f"termsift: error: {cfg}:1: unknown config key 'mystery'" in err
+
+    @pytest.mark.parametrize("key, value", [("min_count", "2.5"), ("alpha", "high")])
+    def test_value_that_does_not_convert(self, capsys, corpus, tmp_path, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# thresholds\nlayout = class-subdirectories\n{key} = {value}\n")
+        code, _, err = run(capsys, "stats", str(corpus), "--config", str(cfg))
+        assert code == EXIT_DATA
+        assert f"termsift: error: {cfg}:3: invalid value for {key!r}: " in err
+        assert repr(value) in err
 
     def test_malformed_line(self, capsys, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -2,13 +2,16 @@ import hashlib
 import logging
 import marshal
 import os
+import re
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from wn_fixture import SYNSETS
 
-from termsift import wordnet
+from termsift import porter, wordnet
 from termsift.cli import main
 from termsift.errors import WordNetFormatError
 from termsift.pipeline import PipelineConfig, TermVectors, build_vocabulary
@@ -21,6 +24,23 @@ from termsift.wordnet import (
 )
 
 PINNED = Path(__file__).parent / "fixtures" / "wordnet"
+VOC = Path(__file__).parent / "fixtures" / "porter" / "voc.txt"
+
+# The shape of a token, a Porter stem and a detached base form: letters only.
+token_shaped = re.compile(r"[a-z]+").fullmatch
+
+
+def _fixture_lemmas() -> dict[str, dict[str, set[str]]]:
+    """Part of speech -> each fixture lemma, lower-cased -> its categories."""
+    lemmas: dict[str, dict[str, set[str]]] = {"n": {}, "v": {}}
+    for pos, lexname, words, *_ in SYNSETS.values():
+        for word in words:
+            lemmas[pos].setdefault(word.lower(), set()).add(lexname)
+    return lemmas
+
+
+FIXTURE_LEMMAS = _fixture_lemmas()
+ALL_LEMMAS = sorted(FIXTURE_LEMMAS["n"].keys() | FIXTURE_LEMMAS["v"].keys())
 
 
 class TestLoad:
@@ -32,14 +52,20 @@ class TestLoad:
         assert wordnet_db.lemma_count > 60
 
     def test_every_lemma_has_categories(self, wordnet_db):
-        expected = {"n": {}, "v": {}}
-        for pos, lexname, words, *_ in SYNSETS.values():
-            for word in words:
-                expected[pos].setdefault(word.lower(), set()).add(lexname)
-        assert wordnet_db.noun == expected["n"]
-        assert wordnet_db.verb == expected["v"]
-        assert all(wordnet_db.noun.values()) and all(wordnet_db.verb.values())
+        assert sum(not token_shaped(lemma) for lemma in ALL_LEMMAS) == 15  # collocations
+        for lemma in ALL_LEMMAS:
+            expected = (FIXTURE_LEMMAS["n"].get(lemma, set())
+                        | FIXTURE_LEMMAS["v"].get(lemma, set()))
+            assert lexical_categories(wordnet_db, lemma).categories == expected, lemma
+        assert wordnet_db.lemma_count == len(FIXTURE_LEMMAS["n"]) + len(FIXTURE_LEMMAS["v"])
         assert wordnet_db.synset_count == 45
+
+    def test_maps_hold_exactly_the_token_shaped_lemmas(self, wordnet_db):
+        other_maps = marshal.loads(wordnet_db.other_lemmas)
+        for pos, index, other in zip("nv", (wordnet_db.noun, wordnet_db.verb), other_maps):
+            expected = FIXTURE_LEMMAS[pos]
+            assert index == {w: c for w, c in expected.items() if token_shaped(w)}
+            assert other == {w: c for w, c in expected.items() if not token_shaped(w)}
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -176,11 +202,45 @@ class TestCache:
         [entry] = self.entries(tmp_path)
         key = entry.read_bytes()[:32]
         rest = (os.fsencode(db_dir.resolve()) + b"\0"
-                + marshal.dumps((parsed.noun, parsed.verb, "45", parsed.version)))
+                + marshal.dumps((parsed.noun, parsed.verb, parsed.other_lemmas,
+                                 parsed.lemma_count, "45", parsed.version)))
         entry.write_bytes(key + hashlib.sha256(rest).digest() + rest)
         assert load_wordnet(db_dir) == parsed
         self.forbid_parse(monkeypatch)
         assert load_wordnet(db_dir) == parsed  # the rewritten entry is a hit
+
+    @pytest.mark.parametrize("key", ["format-2-key", "current-key"])
+    def test_format_2_entry_is_a_miss_and_rewritten(self, db_dir, tmp_path, key):
+        parsed = load_wordnet(db_dir)
+        [entry] = self.entries(tmp_path)
+        good = entry.read_bytes()
+        # what format 2 wrote: every lemma in one map per part of speech
+        other_noun, other_verb = marshal.loads(parsed.other_lemmas)
+        payload = marshal.dumps(({**parsed.noun, **other_noun}, {**parsed.verb, **other_verb},
+                                 parsed.synset_count, parsed.version))
+        if key == "format-2-key":
+            tag = wordnet._CACHE_TAG.replace(b"wordnet cache 3,", b"wordnet cache 2,")
+            assert tag != wordnet._CACHE_TAG
+            digest = hashlib.sha256(tag)
+            for name in REQUIRED_FILES:
+                digest.update(hashlib.sha256((db_dir / name).read_bytes()).digest())
+            head = digest.digest()
+        else:
+            head = good[:32]
+        rest = os.fsencode(db_dir.resolve()) + b"\0" + payload
+        entry.write_bytes(head + hashlib.sha256(rest).digest() + rest)
+        assert load_wordnet(db_dir) == parsed
+        assert entry.read_bytes() == good
+
+    def test_hit_leaves_the_other_lemmas_undecoded(self, db_dir, tmp_path, monkeypatch):
+        load_wordnet(db_dir)
+        self.forbid_parse(monkeypatch)
+        db = load_wordnet(db_dir)
+        assert "other_maps" not in vars(db)
+        assert lexical_categories(db, "adult_male").categories == {"noun.person"}
+        decoded = vars(db)["other_maps"]
+        assert lexical_categories(db, "church_building").categories == {"noun.artifact"}
+        assert vars(db)["other_maps"] is decoded  # decoded once, then kept
 
     @pytest.mark.parametrize("blocker", ["file", "no-permission", "entry-is-directory"])
     def test_unwritable_cache_still_loads(self, db_dir, tmp_path, monkeypatch, caplog, blocker):
@@ -262,6 +322,66 @@ class TestLookup:
         assert not entry.in_wordnet
         assert entry.categories == frozenset()
 
+    @pytest.mark.parametrize("word", ["domestic_dog", "get_together", "zzyzx_qq", "",
+                                      "dog's", "x-ray", "dog2"])
+    def test_word_that_is_not_token_shaped(self, wordnet_db, word):
+        expected = FIXTURE_LEMMAS["n"].get(word, set()) | FIXTURE_LEMMAS["v"].get(word, set())
+        assert lexical_categories(wordnet_db, word).categories == expected
+
+
+class _EveryWord(dict):
+    """An index that holds every word, so ``_detached`` returns every candidate."""
+
+    def __contains__(self, word):
+        return True
+
+
+def detachment_candidates(word: str) -> list[str]:
+    """Every form the detachment rules make from ``word``, as ``annotate_terms`` tries them."""
+    rules = wordnet._RULES_BY_LAST_LETTER.get(word[-1:], wordnet._NO_RULES)
+    return [cand for side_rules in rules
+            for cand in wordnet._detached(word, side_rules, _EveryWord())]
+
+
+class TestPipelineWordsAreTokenShaped:
+    """The split of the WordNet maps rests on this: every word ``annotate_terms``
+    looks up (a token, its Porter stem, or a form the detachment rules make
+    from either) is letters only, so it can only be a token-shaped lemma."""
+
+    @pytest.fixture(scope="class")
+    def voc(self):
+        words = VOC.read_text().split()
+        assert len(words) == 23677 and all(map(token_shaped, words))
+        return words
+
+    def test_every_stem_of_the_fixture_vocabulary(self, voc):
+        assert [w for w in voc if not token_shaped(porter.stem(w))] == []
+
+    def test_every_detachment_candidate_of_the_fixture_vocabulary(self, voc):
+        words = set(voc) | {porter.stem(w) for w in voc}
+        # a word ending in each rule's suffix, so that every rule is tried
+        words |= {"qq" + suffix for suffix, _ in wordnet._NOUN_RULES + wordnet._VERB_RULES}
+        candidates = {cand for word in words for cand in detachment_candidates(word)}
+        assert len(candidates) > 6000
+        assert sorted(c for c in candidates if not token_shaped(c)) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.from_regex(r"[a-zA-Z_]{1,6}", fullmatch=True))
+    @example("Dog")
+    @example("")
+    @example("dog\n")
+    @example("ǆ")
+    @example("ª")
+    def test_the_shape_check_is_the_pattern(self, word):
+        assert wordnet._token_shaped(word) == bool(token_shaped(word))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.from_regex(r"[a-z]{2,12}", fullmatch=True))
+    def test_any_token(self, token):
+        stem = porter.stem(token)
+        assert token_shaped(stem)
+        assert all(token_shaped(c) for w in (token, stem) for c in detachment_candidates(w))
+
 
 # The detachment rules written out again, all 16 tried in order with no
 # grouping, and the lookup cascade on top of them: the reference for
@@ -300,9 +420,9 @@ def reference_categories(db, stem, surfaces):
 
 class TestCascadeAgainstReference:
     @pytest.fixture(scope="class")
-    def words(self, wordnet_db):
-        """Every fixture lemma, each rule's inflection of it, and a few misses."""
-        lemmas = sorted(set(wordnet_db.noun) | set(wordnet_db.verb))
+    def words(self):
+        """Every token-shaped fixture lemma, each rule's inflection of it, and a few misses."""
+        lemmas = [lemma for lemma in ALL_LEMMAS if token_shaped(lemma)]
         inflected = {lemma[: len(lemma) - len(replacement)] + suffix
                      for lemma in lemmas
                      for rules in REFERENCE_RULES.values()
@@ -316,7 +436,7 @@ class TestCascadeAgainstReference:
         for word in words:
             originals.setdefault(word or "qqempty", set()).add(word)
             originals.setdefault(f"qq{word}", set()).add(word)
-        for lemma in sorted(set(wordnet_db.noun) | set(wordnet_db.verb)):
+        for lemma in filter(token_shaped, ALL_LEMMAS):
             originals[f"qqgroup{lemma}"] = {w for w in words if w.startswith(lemma[:3])}
         _, annotations = annotate_terms(wordnet_db, originals)
         assert set(annotations) == set(originals)
@@ -394,3 +514,39 @@ class TestPinnedOutputs:
                      "--wordnet-dir", str(wordnet_dir), "--out", str(out)]) == 0
         expected = (PINNED / "minicorpus_lexical_categories.tsv").read_text(encoding="utf-8")
         assert (out / "lexical_categories.tsv").read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("cache", ["no-cache", "cold", "warm"])
+    def test_lex_output_of_every_fixture_lemma(self, capsys, wordnet_dir, tmp_path,
+                                               monkeypatch, cache):
+        expected = (PINNED / "lex.tsv").read_text(encoding="utf-8")
+        words = [line.split("\t")[0] for line in expected.splitlines()]
+        assert set(ALL_LEMMAS) <= set(words)
+        if cache == "no-cache":  # no absolute cache directory, so every load parses
+            monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+            monkeypatch.setenv("HOME", "relative")
+            assert wordnet._cache_path(wordnet_dir) is None
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+            if cache == "warm":
+                load_wordnet(wordnet_dir)
+                TestCache.forbid_parse(monkeypatch)
+        assert main(["lex", *words, "--wordnet-dir", str(wordnet_dir)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    @pytest.mark.parametrize("policy", ["annotate-only", "filter-nonwordnet"])
+    def test_select_never_decodes_the_other_lemmas(self, capsys, minicorpus_dir, wordnet_dir,
+                                                   tmp_path, monkeypatch, cache, policy):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        if cache == "warm":
+            load_wordnet(wordnet_dir)
+        decoded = []
+        monkeypatch.setattr(wordnet.WordNetDb, "other_maps",
+                            property(lambda db: decoded.append(db)))
+        out = tmp_path / "out"
+        assert main(["select", str(minicorpus_dir), "--layout", "class-subdirectories",
+                     "--wordnet-dir", str(wordnet_dir), "--wordnet-policy", policy,
+                     "--out", str(out)]) == 0
+        expected = (PINNED / "minicorpus_lexical_categories.tsv").read_text(encoding="utf-8")
+        assert (out / "lexical_categories.tsv").read_text(encoding="utf-8") == expected
+        assert decoded == []

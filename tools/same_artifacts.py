@@ -1,5 +1,5 @@
-"""Check that ``termsift select``, ``weigh``, ``stats`` and ``preprocess`` write
-byte-identical artifacts and output in two trees.
+"""Check that ``termsift select``, ``weigh``, ``stats``, ``preprocess`` and ``lex``
+write byte-identical artifacts and output in two trees.
 
     python3 tools/same_artifacts.py OLD_TREE
 
@@ -19,6 +19,8 @@ differs. The cases:
 - the same corpus with the ``tests/wn_fixture.py`` database under
   ``annotate-only``
 - the same database under ``filter-nonwordnet --min-count 2``
+- ``lex`` on the same database for every fixture lemma (collocations
+  included), a few inflected forms and a few unknown words
 - ``weigh`` on the minicorpus, WordNet off, for each scheme in each
   export format (the export not restricted to key terms), and for
   ``--scheme tf2 --log-base 10``
@@ -28,6 +30,10 @@ differs. The cases:
   ``select`` arguments (its inputs are generated into
   ``.perfbench-cache/`` on first use), and ``stats`` and ``preprocess``
   with the same arguments but WordNet off (neither reads it)
+- ``lex`` on the seed-301 ``wordnet-short`` database for 12 token-shaped
+  lemmas from its ``lemmas.tsv`` (which lists only those), 12 ``_``
+  collocation fillers from each of its two index files, and two words it
+  does not hold
 
 Both trees read the same inputs, taken from this checkout, and each
 runs with a fresh temporary ``XDG_CACHE_HOME``, so the WordNet cache of
@@ -54,10 +60,29 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import run as perfbench  # noqa: E402
-from wn_fixture import build_wordnet_dir  # noqa: E402
+from wn_fixture import SYNSETS, build_wordnet_dir  # noqa: E402
 
 SEED = 301
 EXEMPT = {"metadata.json"}
+LEX_SAMPLE = 12  # lemmas of each kind taken from the wordnet-short database
+
+
+def spread(items: list[str], n: int) -> list[str]:
+    """``n`` items taken evenly from ``items``, first one included."""
+    return items[:: max(1, len(items) // n)][:n]
+
+
+def generated_lex_words(wordnet_dir: Path) -> list[str]:
+    """Token-shaped lemmas and collocation fillers of a generated database."""
+    lemmas = [line.split("\t")[0] for line in
+              (wordnet_dir / "lemmas.tsv").read_text(encoding="utf-8").splitlines()]
+    words = spread(lemmas, LEX_SAMPLE)
+    for name in ("index.noun", "index.verb"):
+        with (wordnet_dir / name).open(encoding="utf-8") as f:
+            fillers = [line.split(" ", 1)[0] for line in f
+                       if not line.startswith(" ") and "_" in line.split(" ", 1)[0]]
+        words += spread(fillers, LEX_SAMPLE)
+    return words + ["zzyzx", "zzyzx_qq"]
 
 
 def cases(work: Path) -> list[tuple[str, list[str]]]:
@@ -82,6 +107,10 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
         ("minicorpus, fixture WordNet, filter-nonwordnet --min-count 2",
          base + ["--wordnet-dir", db, "--wordnet-policy", "filter-nonwordnet",
                  "--min-count", "2"]),
+        ("fixture WordNet, lex of every lemma, inflections and unknown words",
+         ["lex", *sorted({w for _, _, words, *_ in SYNSETS.values() for w in words}),
+          "dogs", "ponies", "agreed", "churches", "men", "harvesting", "zzyzx",
+          "Adult_Male", "x-ray", "--wordnet-dir", db]),
     ]
     for scheme in ("tfidf", "tfdf", "tf2"):
         for fmt in ("csv", "coordinate-triplet"):
@@ -103,6 +132,10 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
         for command in ("stats", "preprocess"):
             found.append((f"{name} seed {SEED}, {command}", perfbench.termsift_args(
                 command, data / "corpus", workload, Path("out"), None)))
+        if wordnet_dir is not None:
+            found.append((f"{name} seed {SEED}, lex of lemmas and collocations",
+                          ["lex", *generated_lex_words(wordnet_dir),
+                           "--wordnet-dir", str(wordnet_dir)]))
     return found
 
 
