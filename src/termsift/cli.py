@@ -119,7 +119,11 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
         if "=" not in stripped:
             raise ValueError(f"{p}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        values[key.strip().replace("-", "_")] = (f"{p}:{lineno}", value.strip())
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ValueError(f"{p}:{lineno}: config key {key!r} is already set "
+                             f"at {values[key][0]}")
+        values[key] = (f"{p}:{lineno}", value.strip())
     return values
 
 

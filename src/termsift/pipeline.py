@@ -68,11 +68,11 @@ class PipelineConfig:
 
 @dataclass
 class TermVectors:
-    """Steps 1-3: stemmed counts per document, stem -> surface forms, and
-    each document's token count before stop-word removal."""
+    """Steps 1-3: stem -> count per document, one surface -> stem map for
+    the corpus, and each document's token count before stop-word removal."""
 
     vectors: list[TermVector]
-    originals: dict[str, set[str]]
+    stem_of: dict[str, str]
     token_counts: list[int]
 
 
@@ -113,8 +113,8 @@ def extract_terms(corpus: corpus_io.DocumentSet, stopwords: corpus_io.StopwordLi
     Each document goes through all three steps before the next is read,
     so only one document's tokens exist at a time; the three step lines
     are logged before the first document. The stemmer is a pure function
-    of the word, so each distinct surface token is stemmed once per call
-    and the result reused."""
+    of the word, so a document stems only the surface types no earlier
+    one had, into the surface -> stem map step 4 groups per stem."""
     log.info("step 1/7: extracting term sets (tokenization)")
     log.info("step 2/7: removing stop words")
     log.info("step 3/7: applying Porter stemming")
@@ -125,17 +125,12 @@ def extract_terms(corpus: corpus_io.DocumentSet, stopwords: corpus_io.StopwordLi
         tokens = tokenize(doc.text)
         token_counts.append(len(tokens))
         tokens = remove_stopwords(tokens, stopwords)
-        counts: dict[str, int] = {}
-        for token, n in Counter(tokens).items():
-            if token not in stem_of:
-                stem_of[token] = porter_stem(token)
-            s = stem_of[token]
-            counts[s] = counts.get(s, 0) + n
+        for token in set(tokens).difference(stem_of):
+            stem_of[token] = porter_stem(token)
+        # a plain dict: the interpreter specialises row subscripts only on exact dicts
+        counts = dict(Counter(map(stem_of.__getitem__, tokens)))
         vectors.append(TermVector(doc_id=doc.doc_id, counts=counts, total=len(tokens)))
-    originals: dict[str, set[str]] = {}
-    for token, s in stem_of.items():
-        originals.setdefault(s, set()).add(token)
-    return TermVectors(vectors=vectors, originals=originals, token_counts=token_counts)
+    return TermVectors(vectors=vectors, stem_of=stem_of, token_counts=token_counts)
 
 
 def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: PipelineConfig
@@ -148,7 +143,11 @@ def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: P
     keep: set[str] | None = None
     if db is not None:
         log.info(f"step 4/7: WordNet lexical-category annotation (policy={config.wordnet_policy})")
-        categorised, annotations = wordnet.annotate_terms(db, terms.originals)
+        surfaces: dict[str, list[str]] = {}
+        for token, stem in terms.stem_of.items():
+            surfaces.setdefault(stem, []).append(token)
+        categorised, annotations = wordnet.annotate_terms(db, surfaces)
+        del surfaces  # the index built below does not read them
         if config.wordnet_policy == "filter-nonwordnet":
             keep = categorised
         log.info("vocabulary: %d terms before WordNet step, %d after",
@@ -230,7 +229,7 @@ def run_chain(config: PipelineConfig, last_step: int = 7,
         result.terms = terms
         return result
     result.index, result.annotations = build_vocabulary(terms, db, config)
-    del terms  # the floored index replaces the step-3 vectors and surface forms
+    del terms  # the floored index replaces the step-3 vectors and surface map
     result.matrices = compute_weights(result.index, config, schemes)
     if last_step == 6:
         return result

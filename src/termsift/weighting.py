@@ -213,15 +213,6 @@ def compute_matrix(index: CorpusIndex, scheme: str, log_base: float = math.e) ->
                         doc_ids=index.doc_ids, vocabulary=index.vocabulary)
 
 
-def _mean_scores(matrix: WeightMatrix) -> dict[int, float]:
-    # each term's weights in document order, so a mean sums them in that order
-    columns: list[list[float]] = [[] for _ in matrix.vocabulary]
-    for ids, ws in zip(matrix.term_ids, matrix.weights):
-        for j, w in zip(ids, ws):
-            columns[j].append(w)
-    return {j: sum(ws) / len(ws) for j, ws in enumerate(columns) if ws}
-
-
 def select_key_terms(matrix: WeightMatrix, threshold: float, aggregation: str = "max") -> KeyTermSet:
     """Terms whose aggregated weight is >= threshold."""
     if threshold < 0:
@@ -231,7 +222,14 @@ def select_key_terms(matrix: WeightMatrix, threshold: float, aggregation: str = 
         ids = {j for row, ws in zip(matrix.term_ids, matrix.weights)
                for j, w in zip(row, ws) if w >= threshold}
     elif aggregation == "mean":
-        ids = {j for j, score in _mean_scores(matrix).items() if score >= threshold}
+        # each term's sum (from 0, its weights added in document order) and cell count
+        sums = [0.0] * len(matrix.vocabulary)
+        cells = [0] * len(matrix.vocabulary)
+        for row, ws in zip(matrix.term_ids, matrix.weights):
+            for j, w in zip(row, ws):
+                sums[j] += w
+                cells[j] += 1
+        ids = {j for j, (total, n) in enumerate(zip(sums, cells)) if n and total / n >= threshold}
     else:
         raise ValueError(f"unknown aggregation {aggregation!r}; expected one of {AGGREGATIONS}")
     terms = frozenset(matrix.vocabulary[j] for j in ids)

@@ -41,7 +41,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from termsift.errors import WordNetFormatError
 
@@ -418,11 +418,11 @@ def _lookup(db: WordNetDb, stem: str, surfaces: Iterable[str]) -> LexEntry:
     return LexEntry(lemma=stem, categories=frozenset(base_cats))
 
 
-def annotate_terms(db: WordNetDb, originals: dict[str, set[str]]
+def annotate_terms(db: WordNetDb, originals: Mapping[str, Iterable[str]]
                    ) -> tuple[set[str], dict[str, LexEntry]]:
-    """Map every stem in ``originals`` (stem -> its surface forms) to its
-    lexical categories; return the stems that have a category, and every
-    stem's entry.
+    """Map every stem in ``originals`` (stem -> its surface forms, in any
+    order) to its lexical categories; return the stems that have a
+    category, and every stem's entry.
 
     Stems and surfaces are token-shaped (``[a-z]+``), and so is every form
     the detachment rules make from them, so only the token-shaped maps are

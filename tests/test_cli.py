@@ -381,6 +381,17 @@ class TestConfigFile:
         assert f"termsift: error: {cfg}:3: invalid value for {key!r}: " in err
         assert repr(value) in err
 
+    def test_repeated_key(self, capsys, corpus, tmp_path):
+        # both spellings normalise to min_count, so line 3 would override line 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("layout = class-subdirectories\nmin_count = 1\nmin-count = 9\n")
+        code, _, err = run(capsys, "select", str(corpus), "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+        assert code == EXIT_DATA
+        assert (f"termsift: error: {cfg}:3: config key 'min_count' is already set "
+                f"at {cfg}:2") in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_line(self, capsys, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no equals sign here\n")

@@ -1,7 +1,12 @@
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -55,8 +60,7 @@ class TestExtractTerms:
     def test_corpus_surface_map(self):
         terms = extract(RawDocument("a", "ponies run"), RawDocument("b", "pony runs"))
         assert len(terms.vectors) == 2
-        assert terms.originals["poni"] == {"ponies", "pony"}
-        assert terms.originals["run"] == {"run", "runs"}
+        assert terms.stem_of == {"ponies": "poni", "pony": "poni", "run": "run", "runs": "run"}
 
     def test_vectors_independent_of_other_documents(self):
         docs = [RawDocument(f"d{i}", f"harvest market grain grain x{i}ing") for i in range(4)]
@@ -94,7 +98,25 @@ class TestExtractTerms:
         assert [v.counts for v in terms.vectors] == [
             {"poni": 2, "run": 2}, {"poni": 1, "run": 2}, {"poni": 3}]
         assert [v.total for v in terms.vectors] == [4, 3, 3]
-        assert terms.originals == {"poni": {"ponies", "pony"}, "run": {"run", "runs"}}
+        assert terms.stem_of == {"ponies": "poni", "pony": "poni", "run": "run", "runs": "run"}
+
+    def test_memory_keeps_no_container_per_stem(self):
+        # 20,000 distinct words, each its own stem, 1,000 to a document
+        letters = "bcdfghjklmnpqrtvwxz"
+        words = [f"zq{letters[k // 361]}{letters[k // 19 % 19]}{letters[k % 19]}{n}o"
+                 for k in range(19 ** 3) for n in ("", "l", "n")][:20_000]
+        docs = [RawDocument(f"d{i}", " ".join(words[i:i + 1000]))
+                for i in range(0, len(words), 1000)]
+        tracemalloc.start()
+        try:
+            terms = extract(*docs)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a word's surface -> stem entry and its one count take about 100 bytes;
+        # a set of surfaces per stem adds about 250
+        assert held < 160 * len(words), f"{held} bytes held for {len(words)} words"
+        assert len(terms.stem_of) == len({s for v in terms.vectors for s in v.counts}) == 20_000
 
     # words that share stems, stop words, one-letter words, and ids that need quoting
     WORDS = ("the", "of", "a", "is", "x", "pony", "ponies", "run", "runs", "running",
@@ -113,14 +135,11 @@ class TestExtractTerms:
         token_counts = [len(tokens) for tokens in tokenized]
         kept = [[t for t in tokens if t not in SW.words] for tokens in tokenized]
         stems = [[porter.stem(t) for t in tokens] for tokens in kept]
-        originals = {}
-        for tokens, stemmed in zip(kept, stems):
-            for t, s in zip(tokens, stemmed):
-                originals.setdefault(s, set()).add(t)
+        stem_of = {t: s for tokens, stemmed in zip(kept, stems) for t, s in zip(tokens, stemmed)}
         assert terms.token_counts == token_counts
         assert [(v.doc_id, dict(v.counts), v.total) for v in terms.vectors] == [
             (d.doc_id, dict(Counter(stemmed)), len(stemmed)) for d, stemmed in zip(docs, stems)]
-        assert terms.originals == originals
+        assert terms.stem_of == stem_of
 
 
 class TestValidation:
@@ -321,3 +340,25 @@ class TestDeterminism:
         run_pipeline(a)
         run_pipeline(b)
         assert self.read_all(tmp_path / "a" / "out") == self.read_all(tmp_path / "b" / "out")
+
+    @pytest.mark.parametrize("policy", ["off", "filter-nonwordnet"])
+    def test_artifacts_do_not_follow_the_hash_seed(self, tmp_path, minicorpus_dir, wordnet_dir,
+                                                   policy):
+        # step 3 stems each document's new surface types in the order of a
+        # set of strings, which the hash seed sets; one process has one seed
+        src = Path(pipeline.__file__).resolve().parent.parent
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed-{seed}"
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from termsift.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "select", str(minicorpus_dir), "--layout", "class-subdirectories",
+                 "--wordnet-dir", str(wordnet_dir), "--wordnet-policy", policy,
+                 "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+                capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            outputs.append(self.read_all(out))
+        assert outputs[0] == outputs[1]
+        assert ("lexical_categories.tsv" in outputs[0]) == (policy != "off")

@@ -10,6 +10,7 @@ from termsift import weighting
 from termsift.errors import EmptyCorpusError
 from termsift.textprep import TermVector
 from termsift.weighting import (
+    AGGREGATIONS,
     EXPORT_FORMATS,
     SCHEMES,
     Thresholds,
@@ -26,6 +27,15 @@ from termsift.weighting import (
 
 def vec(doc_id, counts):
     return TermVector(doc_id=doc_id, counts=dict(counts), total=sum(counts.values()))
+
+
+def left_to_right_sum(weights):
+    """The README's rule for a mean's sum: start from 0 and add each weight in
+    order. Builtin ``sum`` compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for w in weights:
+        total += w
+    return total
 
 
 # The point formulas: this file's reference for one cell, computed from the
@@ -244,16 +254,19 @@ class TestSelection:
                    vec("d2", {"x": 7, "y": 7}), vec("d3", {"y": 1})]
         matrix = compute_matrix(build_index(vectors), "tfdf")
         ws = [matrix.entries[(i, 0)] for i in range(3)]  # x's weights in document order
+        in_order = left_to_right_sum(ws)
         # another summation order gives another float, so it would move the boundary
-        assert sum(reversed(ws)) != sum(ws) and math.fsum(ws) != sum(ws)
-        mean = sum(ws) / len(ws)
+        assert left_to_right_sum(reversed(ws)) != in_order and math.fsum(ws) != in_order
+        mean = in_order / len(ws)
         assert "x" in select_key_terms(matrix, mean, "mean").terms
         assert "x" not in select_key_terms(matrix, math.nextafter(mean, math.inf), "mean").terms
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), threshold=st.sampled_from([0.0, 0.25, 1.0, 3.5]))
+    @given(data=st.data(), aggregation=st.sampled_from(AGGREGATIONS),
+           threshold=st.sampled_from([0.0, 0.25, 1.0, 3.5]))
     def test_max_keeps_the_terms_whose_gathered_maximum_reaches_the_threshold(
-            self, data, threshold):
+            self, data, aggregation, threshold):
+        """And under ``mean``, the terms whose gathered mean reaches it."""
         n_terms = data.draw(st.integers(1, 6))
         # weights exactly at the threshold and one ulp either side of it
         weight = st.one_of(
@@ -273,8 +286,36 @@ class TestSelection:
         for ids, ws in zip(term_ids, weights):
             for j, w in zip(ids, ws):
                 columns.setdefault(j, []).append(w)
-        expected = {f"t{j}" for j, ws in columns.items() if max(ws) >= threshold}
-        assert select_key_terms(matrix, threshold, "max").terms == expected
+        if aggregation == "max":
+            aggregate = {j: max(ws) for j, ws in columns.items()}
+        else:
+            aggregate = {j: left_to_right_sum(ws) / len(ws) for j, ws in columns.items()}
+            # a mean lands anywhere, so the boundary is drawn at one: exactly
+            # at a reference mean or one ulp either side of it
+            at_a_mean = sorted({t for m in aggregate.values()
+                                for t in (m, math.nextafter(m, math.inf),
+                                          math.nextafter(m, -math.inf)) if t >= 0})
+            if at_a_mean:
+                threshold = data.draw(st.sampled_from(at_a_mean))
+        expected = {f"t{j}" for j, a in aggregate.items() if a >= threshold}
+        assert select_key_terms(matrix, threshold, aggregation).terms == expected
+
+    def test_mean_memory_follows_the_terms_not_the_cells(self):
+        # 500 documents x 200 of 2,000 terms: 100,000 cells, 50 per term
+        rng = random.Random(11)
+        terms = [f"t{k:04d}" for k in range(2000)]
+        index = build_index([vec(f"d{i}", {t: rng.randint(1, 9) for t in rng.sample(terms, 200)})
+                             for i in range(500)])
+        matrix = compute_matrix(index, "tfidf")
+        tracemalloc.start()
+        try:
+            kept = select_key_terms(matrix, 0.0, "mean")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept.terms) == len(terms)
+        # a list of each term's boxed weights takes about 32 bytes a cell, 1,600 a term here
+        assert peak < 500 * len(terms), f"traced peak {peak} bytes for {len(terms)} terms"
 
     def test_negative_threshold_rejected(self):
         _, matrices = self.make()

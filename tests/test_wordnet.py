@@ -461,9 +461,11 @@ class TestAnnotate:
         "agre": {"agreed"},
         "poni": {"ponies"},
     }
+    # step 3's surface -> stem map of the same forms
+    STEM_OF = {surface: stem for stem, surfaces in ORIGINALS.items() for surface in surfaces}
 
     def vocabulary(self, db, policy, min_count=1):
-        terms = TermVectors(self.VECTORS, self.ORIGINALS, token_counts=[4, 5])
+        terms = TermVectors(self.VECTORS, self.STEM_OF, token_counts=[4, 5])
         config = PipelineConfig(corpus_path="unused", wordnet_policy=policy, min_count=min_count)
         return build_vocabulary(terms, db, config)
 
