@@ -10,7 +10,7 @@ Subcommands:
 
 Options can come from a flat key=value config file (``--config``); flags
 win over the file. The WordNet directory falls back to $WNSEARCHDIR when
-no flag or config key names it.
+no flag or config key names it; an empty value counts as none.
 
 Exit codes: 0 success, 1 usage error, 2 input data error, 3 internal error.
 """
@@ -138,6 +138,11 @@ _CONFIG_KEYS = {
 }
 
 
+def _wordnet_dir(given: str | None) -> str | None:
+    """``given`` (a flag or config value), else $WNSEARCHDIR; empty counts as unset."""
+    return given or os.environ.get(WORDNET_ENV) or None
+
+
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Flags win over the config file; unset fields keep PipelineConfig's defaults."""
     values: dict[str, object] = {}
@@ -152,10 +157,12 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     values.update({key: getattr(args, key) for key in _CONFIG_KEYS
                    if getattr(args, key, None) is not None})
     if args.corpus_pos:
+        if args.corpus is not None:
+            raise _UsageExit("give the corpus directory once, as the positional or --corpus")
         values["corpus"] = args.corpus_pos
     if "corpus" not in values:
         raise _UsageExit("a corpus directory is required (positional or --corpus)")
-    values.setdefault("wordnet_dir", os.environ.get(WORDNET_ENV))
+    values["wordnet_dir"] = _wordnet_dir(values.get("wordnet_dir"))
     if values.get("aggregation") in _AGGREGATION_ALIASES:
         values["aggregation"] = _AGGREGATION_ALIASES[values["aggregation"]]
     return PipelineConfig(**{_CONFIG_KEYS[key][0]: value for key, value in values.items()})
@@ -208,8 +215,8 @@ def _cmd_stem(args) -> int:
 
 
 def _cmd_lex(args) -> int:
-    wordnet_dir = args.wordnet_dir or os.environ.get(WORDNET_ENV)
-    if not wordnet_dir:
+    wordnet_dir = _wordnet_dir(args.wordnet_dir)
+    if wordnet_dir is None:
         raise _UsageExit(f"--wordnet-dir or ${WORDNET_ENV} is required for 'lex'")
     db = wordnet.load_wordnet(wordnet_dir)
     for word in args.words:

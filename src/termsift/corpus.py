@@ -49,18 +49,11 @@ class DocumentSet:
     def __iter__(self):
         return iter(self.documents)
 
-    @property
-    def class_labels(self) -> set[str]:
-        return {d.class_label for d in self.documents if d.class_label is not None}
-
 
 @dataclass(frozen=True)
 class StopwordList:
     words: frozenset[str]
     sha256: str = ""
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
 
     def __len__(self) -> int:
         return len(self.words)

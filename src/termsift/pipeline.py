@@ -84,7 +84,6 @@ class PipelineResult:
     stopwords: corpus_io.StopwordList | None = None
     db: wordnet.WordNetDb | None = None
     terms: TermVectors | None = None  # kept only when the chain ends at step 3
-    index: weighting.CorpusIndex | None = None
     annotations: dict[str, wordnet.LexEntry] = field(default_factory=dict)
     matrices: dict[str, weighting.WeightMatrix] = field(default_factory=dict)
     key_terms: dict[str, weighting.KeyTermSet] = field(default_factory=dict)  # per scheme
@@ -186,7 +185,7 @@ def select_terms(matrices: dict[str, weighting.WeightMatrix], config: PipelineCo
         s: weighting.select_key_terms(m, thresholds.for_scheme(s), agg)
         for s, m in matrices.items()
     }
-    return key_terms, weighting.select_joint(matrices.values(), key_terms)
+    return key_terms, weighting.select_joint(key_terms)
 
 
 def run_chain(config: PipelineConfig, last_step: int = 7,
@@ -228,9 +227,10 @@ def run_chain(config: PipelineConfig, last_step: int = 7,
     if last_step == 3:
         result.terms = terms
         return result
-    result.index, result.annotations = build_vocabulary(terms, db, config)
+    index, result.annotations = build_vocabulary(terms, db, config)
     del terms  # the floored index replaces the step-3 vectors and surface map
-    result.matrices = compute_weights(result.index, config, schemes)
+    result.matrices = compute_weights(index, config, schemes)
+    del index  # the matrices share its id rows; nothing reads its TF rows again
     if last_step == 6:
         return result
     result.key_terms, result.joint = select_terms(result.matrices, config)
@@ -241,8 +241,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """The whole chain, then the reduction reports and every artifact in ``out_dir``."""
     result = run_chain(config)
     result.rows = [
-        report_mod.make_reduction_row(result.stats.name, s, kd.threshold, result.index, kd)
-        for s, kd in [*result.key_terms.items(), ("joint", result.joint)]
+        report_mod.ReductionRow(result.stats.name, kd.scheme, kd.threshold, kd.vocabulary_size,
+                                len(kd.terms), kd.removed_pct)
+        for kd in [*result.key_terms.values(), result.joint]
     ]
     with _stage_errors("write_outputs"):
         result.artifacts = _write_outputs(config, result)
@@ -297,10 +298,10 @@ def _write_outputs(config: PipelineConfig, result: PipelineResult) -> dict[str, 
     artifacts.update(export_weights(out_dir, result.matrices, config.matrix_format,
                                     key_terms=result.key_terms))
 
-    for name, kd in list(result.key_terms.items()) + [("joint", result.joint)]:
-        path = out_dir / f"keyterms_{name}.txt"
+    for kd in [*result.key_terms.values(), result.joint]:
+        path = out_dir / f"keyterms_{kd.scheme}.txt"
         path.write_text("\n".join(sorted(kd.terms)) + "\n", encoding="utf-8")
-        artifacts[f"keyterms_{name}"] = path
+        artifacts[f"keyterms_{kd.scheme}"] = path
 
     if result.annotations:
         path = out_dir / "lexical_categories.tsv"

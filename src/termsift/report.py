@@ -1,7 +1,6 @@
 """Reduction-statistics tables and machine-readable run metadata.
 
-All three render formats (plain text, CSV, JSON) carry the same fields;
-CSV and JSON round-trip losslessly through the matching parse functions.
+All three render formats (plain text, CSV, JSON) carry the same fields.
 Percentages are always the 2-decimal truncated strings produced by the
 weighting module.
 """
@@ -14,7 +13,6 @@ import json
 from dataclasses import asdict, dataclass
 
 from termsift.corpus import DatasetStats
-from termsift.weighting import CorpusIndex, KeyTermSet, removed_percentage
 
 FORMATS = ("plain-text", "csv", "json")
 
@@ -57,21 +55,6 @@ class RunMetadata:
     min_count: int
     tool_version: str
     timestamp: str
-
-
-def make_reduction_row(
-    name: str, scheme: str, threshold: float | None, index: CorpusIndex, kd: KeyTermSet
-) -> ReductionRow:
-    if kd.vocabulary_size != len(index.vocabulary) or not kd.terms <= set(index.vocabulary):
-        raise ValueError("key-term set was not derived from this corpus index")
-    return ReductionRow(
-        dataset=name,
-        scheme=scheme,
-        threshold=threshold,
-        term_count=len(index.vocabulary),
-        key_term_count=len(kd.terms),
-        removed_pct=kd.removed_pct,
-    )
 
 
 def _render_plain(rows: list[ReductionRow], stats: list[DatasetStats]) -> str:
@@ -135,42 +118,6 @@ def render_tables(
     raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
 
 
-def parse_tables_json(text: str) -> tuple[list[ReductionRow], list[DatasetStats]]:
-    doc = json.loads(text)
-    stats = [DatasetStats(**s) for s in doc["stats"]]
-    rows = [ReductionRow(**r) for r in doc["rows"]]
-    return rows, stats
-
-
-def parse_tables_csv(text: str) -> tuple[list[ReductionRow], list[DatasetStats]]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != _CSV_COLUMNS:
-        raise ValueError("unexpected CSV header")
-    rows, stats = [], []
-    for rec in reader:
-        d = dict(zip(_CSV_COLUMNS, rec))
-        if d["kind"] == "stats":
-            stats.append(
-                DatasetStats(d["name"], int(d["documents"]), int(d["classes"]),
-                             int(d["largest_class"]), int(d["avg_doc_length"]))
-            )
-        else:
-            rows.append(
-                ReductionRow(d["name"], d["scheme"],
-                             None if d["threshold"] == "" else float(d["threshold"]),
-                             int(d["term_count"]), int(d["key_term_count"]), d["removed_pct"])
-            )
-    return rows, stats
-
-
 def emit_metadata(meta: RunMetadata) -> str:
     """JSON metadata record attributing a run's configuration."""
     return json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n"
-
-
-def check_row(row: ReductionRow) -> bool:
-    """Recompute the percentage string from the row's own counts."""
-    return row.removed_pct == removed_percentage(
-        row.term_count - row.key_term_count, row.term_count
-    )

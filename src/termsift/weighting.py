@@ -87,10 +87,6 @@ class WeightMatrix:
     vocabulary: tuple[str, ...]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.doc_ids), len(self.vocabulary))
-
-    @property
     def entries(self) -> Mapping[tuple[int, int], float]:
         """Read-only (doc index, term index) -> weight view of the populated
         cells, iterated in (doc, term) order."""
@@ -131,12 +127,8 @@ class KeyTermSet:
     vocabulary_size: int
 
     @property
-    def removed_count(self) -> int:
-        return self.vocabulary_size - len(self.terms)
-
-    @property
     def removed_pct(self) -> str:
-        return removed_percentage(self.removed_count, self.vocabulary_size)
+        return removed_percentage(self.vocabulary_size - len(self.terms), self.vocabulary_size)
 
 
 def removed_percentage(removed: int, vocabulary_size: int) -> str:
@@ -242,27 +234,23 @@ def select_key_terms(matrix: WeightMatrix, threshold: float, aggregation: str = 
     )
 
 
-def select_joint(matrices: Iterable[WeightMatrix], key_terms: dict[str, KeyTermSet]) -> KeyTermSet:
+def select_joint(key_terms: dict[str, KeyTermSet]) -> KeyTermSet:
     """Terms clearing all three per-scheme thresholds: the intersection of
-    the per-scheme sets ``select_key_terms`` already chose from ``matrices``."""
-    mats = list(matrices)
-    if {m.scheme for m in mats} != set(SCHEMES):
-        raise ValueError(f"select_joint needs one matrix per scheme {SCHEMES}")
-    first = mats[0]
-    for m in mats[1:]:
-        if m.vocabulary != first.vocabulary or m.doc_ids != first.doc_ids:
-            raise ValueError("matrices were not computed over the same corpus index")
+    the per-scheme sets ``select_key_terms`` chose over one vocabulary."""
     if set(key_terms) != set(SCHEMES):
         raise ValueError(f"select_joint needs one key-term set per scheme {SCHEMES}")
     aggregations = {k.aggregation for k in key_terms.values()}
     if len(aggregations) != 1:
         raise ValueError("key-term sets were selected under different aggregations")
+    sizes = {k.vocabulary_size for k in key_terms.values()}
+    if len(sizes) != 1:
+        raise ValueError("key-term sets were selected over different vocabularies")
     return KeyTermSet(
         scheme="joint",
         threshold=None,
         aggregation=aggregations.pop(),
         terms=frozenset.intersection(*(k.terms for k in key_terms.values())),
-        vocabulary_size=len(first.vocabulary),
+        vocabulary_size=sizes.pop(),
     )
 
 

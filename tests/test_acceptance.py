@@ -250,7 +250,7 @@ class TestC5SelectionMonotonicity:
             matrices = {s: compute_matrix(index, s) for s in SCHEMES}
             th = Thresholds(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1))
             key_terms = {s: select_key_terms(matrices[s], th.for_scheme(s)) for s in SCHEMES}
-            joint = select_joint(matrices.values(), key_terms).terms
+            joint = select_joint(key_terms).terms
             for s in SCHEMES:
                 assert joint <= select_key_terms(matrices[s], th.for_scheme(s)).terms
 
@@ -350,11 +350,10 @@ class TestC7GoldenRun:
         assert files_a == files_b
 
     def test_percentages_consistent(self, runs):
-        from termsift.report import check_row
-
         result = runs[0][0][0]
         for row in result.rows:
-            assert check_row(row)
+            assert row.removed_pct == removed_percentage(
+                row.term_count - row.key_term_count, row.term_count)
 
 
 class TestC8StageLogging:

@@ -40,6 +40,12 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert "corpus" in err
 
+    def test_corpus_given_twice(self, capsys, corpus):
+        code, _, err = run(capsys, "stats", str(corpus), "--corpus", str(corpus),
+                           "--layout", "class-subdirectories")
+        assert code == EXIT_USAGE
+        assert "--corpus" in err
+
     def test_bad_flag_value(self, capsys):
         assert run(capsys, "stats", "x", "--layout", "bogus")[0] == EXIT_USAGE
 
@@ -237,6 +243,15 @@ class TestStemAndLex:
         monkeypatch.delenv("WNSEARCHDIR", raising=False)
         assert run(capsys, "lex", "dog")[0] == EXIT_USAGE
 
+    def test_lex_empty_values_count_as_unset(self, capsys, wordnet_dir, monkeypatch):
+        monkeypatch.setenv("WNSEARCHDIR", "")
+        code, _, err = run(capsys, "lex", "dog", "--wordnet-dir", "")
+        assert code == EXIT_USAGE
+        assert "required" in err
+        monkeypatch.setenv("WNSEARCHDIR", str(wordnet_dir))
+        code, out, _ = run(capsys, "lex", "dog", "--wordnet-dir", "")
+        assert (code, out) == (EXIT_OK, "dog\tnoun.animal\n")
+
 
 class TestWeigh:
     def test_export(self, capsys, corpus, tmp_path):
@@ -293,6 +308,27 @@ class TestSelect:
         assert (out_dir / "report.csv").exists()
         assert (out_dir / "report.json").exists()
         assert (out_dir / "lexical_categories.tsv").exists()
+
+    def test_empty_wordnet_env_counts_as_unset(self, capsys, corpus, tmp_path, monkeypatch):
+        monkeypatch.setenv("WNSEARCHDIR", "")
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "select", str(corpus), "--layout",
+                         "class-subdirectories", "--out", str(out_dir))
+        assert code == EXIT_OK
+        assert json.loads((out_dir / "metadata.json").read_text())["wordnet_version"] == "none"
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_empty_wordnet_dir_falls_back_to_env(self, capsys, corpus, tmp_path, wordnet_dir,
+                                                 monkeypatch, via):
+        monkeypatch.setenv("WNSEARCHDIR", str(wordnet_dir))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("wordnet_dir =\n")
+        empty = ["--wordnet-dir", ""] if via == "flag" else ["--config", str(cfg)]
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, "select", str(corpus), "--layout", "class-subdirectories",
+                         *empty, "--out", str(out_dir))
+        assert code == EXIT_OK
+        assert json.loads((out_dir / "metadata.json").read_text())["wordnet_version"] == "2.1"
 
     def test_without_wordnet(self, capsys, corpus, tmp_path, monkeypatch):
         monkeypatch.delenv("WNSEARCHDIR", raising=False)

@@ -57,7 +57,7 @@ class TestLoadCorpus:
                 write(tmp_path / cls / f"d{i}.txt", f"text {i}")
         corpus = load_corpus(tmp_path, "class-subdirectories")
         assert len(corpus) == 20
-        assert corpus.class_labels == {"one", "two"}
+        assert {d.class_label for d in corpus} == {"one", "two"}
 
     def test_manifest_layout(self, tmp_path):
         write(tmp_path / "docs" / "x.txt", "xx")
@@ -258,7 +258,7 @@ class TestStopwords:
         # shipped list is deduplicated, lowercase, whitespace-free
         assert 400 <= len(sw) <= 700
         assert all(w == w.lower() and " " not in w for w in sw.words)
-        assert "the" in sw
+        assert "the" in sw.words
         assert len(sw.sha256) == 64
 
 

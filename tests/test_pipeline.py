@@ -292,12 +292,13 @@ class TestResults:
             assert result.joint.terms <= kd.terms
 
     def test_rows_consistent(self, corpus, tmp_path):
-        from termsift.report import check_row
+        from termsift.weighting import removed_percentage
 
         result = run_pipeline(config_for(corpus, tmp_path))
         assert len(result.rows) == 4
         for row in result.rows:
-            assert check_row(row)
+            assert row.removed_pct == removed_percentage(
+                row.term_count - row.key_term_count, row.term_count)
 
     def test_min_count_shrinks_vocabulary(self, corpus, tmp_path):
         base = run_pipeline(config_for(corpus, tmp_path))

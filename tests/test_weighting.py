@@ -149,7 +149,7 @@ class TestMatrix:
         index = build_index([vec("a", {"x": 1}), vec("b", {"y": 1})])
         matrix = compute_matrix(index, "tfidf")
         assert set(matrix.entries) == {(0, index.term_index()["x"]), (1, index.term_index()["y"])}
-        assert matrix.shape == (2, 2)
+        assert (len(matrix.doc_ids), len(matrix.vocabulary)) == (2, 2)
 
     def test_unknown_scheme(self):
         index = build_index([vec("a", {"x": 1})])
@@ -209,7 +209,7 @@ class TestSelection:
         index, matrices = self.make()
         kd = select_key_terms(matrices["tfdf"], 0.0)
         assert kd.terms == frozenset(index.vocabulary)
-        assert kd.removed_count == 0
+        assert kd.vocabulary_size == len(index.vocabulary)
         assert kd.removed_pct == "0.00"
 
     def test_huge_threshold_removes_everything(self):
@@ -264,9 +264,8 @@ class TestSelection:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), aggregation=st.sampled_from(AGGREGATIONS),
            threshold=st.sampled_from([0.0, 0.25, 1.0, 3.5]))
-    def test_max_keeps_the_terms_whose_gathered_maximum_reaches_the_threshold(
+    def test_keeps_the_terms_whose_max_or_mean_reaches_the_threshold(
             self, data, aggregation, threshold):
-        """And under ``mean``, the terms whose gathered mean reaches it."""
         n_terms = data.draw(st.integers(1, 6))
         # weights exactly at the threshold and one ulp either side of it
         weight = st.one_of(
@@ -274,14 +273,24 @@ class TestSelection:
                              math.nextafter(threshold, -math.inf) if threshold else 0.0,
                              0.0, threshold / 2, 2 * threshold + 1]),
             st.floats(0, 10))
+        n_docs = data.draw(st.integers(3, 7))
+        # one more term, t<n_terms>, has 0.1, 0.2 and 0.3 in three documents, in
+        # document order: (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1, so its mean
+        # depends on the order its weights are summed in
+        ordered = sorted(data.draw(st.sets(st.integers(0, n_docs - 1), min_size=3, max_size=3)))
+        extra = dict(zip(ordered, (0.1, 0.2, 0.3)))
         term_ids, weights = [], []
-        for _ in range(data.draw(st.integers(1, 5))):
+        for i in range(n_docs):
             ids = sorted(data.draw(st.sets(st.integers(0, n_terms - 1))))
+            ws = [data.draw(weight) for _ in ids]
+            if i in extra:
+                ids.append(n_terms)
+                ws.append(extra[i])
             term_ids.append(tuple(ids))
-            weights.append(tuple(data.draw(weight) for _ in ids))
+            weights.append(tuple(ws))
         matrix = WeightMatrix("tfidf", tuple(term_ids), tuple(weights),
-                              tuple(f"d{i}" for i in range(len(term_ids))),
-                              tuple(f"t{j}" for j in range(n_terms)))
+                              tuple(f"d{i}" for i in range(n_docs)),
+                              tuple(f"t{j}" for j in range(n_terms + 1)))
         columns = {}
         for ids, ws in zip(term_ids, weights):
             for j, w in zip(ids, ws):
@@ -330,7 +339,7 @@ class TestSelection:
     def test_joint_is_intersection(self):
         _, matrices = self.make()
         th = Thresholds()
-        joint = select_joint(matrices.values(), _key_terms(matrices, th))
+        joint = select_joint(_key_terms(matrices, th))
         per = {s: select_key_terms(matrices[s], th.for_scheme(s)).terms for s in SCHEMES}
         assert joint.terms == per["tfidf"] & per["tfdf"] & per["tf2"]
         assert joint.threshold is None
@@ -338,25 +347,27 @@ class TestSelection:
 
     def test_joint_needs_all_schemes(self):
         _, matrices = self.make()
+        key_terms = _key_terms(matrices)
         with pytest.raises(ValueError):
-            select_joint([matrices["tfidf"], matrices["tfdf"]], _key_terms(matrices))
+            select_joint({**key_terms, "bm25": key_terms["tf2"]})
 
-    def test_joint_rejects_mismatched_corpora(self):
+    def test_joint_rejects_sets_over_different_vocabularies(self):
         _, matrices = self.make(seed=3)
         _, other = self.make(seed=4)
-        with pytest.raises(ValueError):
-            select_joint(
-                [matrices["tfidf"], matrices["tfdf"], other["tf2"]], _key_terms(matrices)
-            )
+        key_terms = _key_terms(matrices)
+        key_terms["tf2"] = select_key_terms(other["tf2"], Thresholds().gamma)
+        assert key_terms["tf2"].vocabulary_size != key_terms["tfidf"].vocabulary_size
+        with pytest.raises(ValueError, match="vocabularies"):
+            select_joint(key_terms)
 
     def test_joint_needs_key_terms_for_every_scheme(self):
         _, matrices = self.make()
         key_terms = _key_terms(matrices)
         with pytest.raises(ValueError):
-            select_joint(matrices.values(), {s: key_terms[s] for s in ("tfidf", "tfdf")})
+            select_joint({s: key_terms[s] for s in ("tfidf", "tfdf")})
         key_terms["tf2"] = select_key_terms(matrices["tf2"], 0.1, "mean")
         with pytest.raises(ValueError):
-            select_joint(matrices.values(), key_terms)
+            select_joint(key_terms)
 
 
 def _key_terms(matrices, th=Thresholds()):
