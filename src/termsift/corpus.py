@@ -1,7 +1,8 @@
 """Corpus loading: directory layouts, manifests and stopword lists.
 
-Each layout only lists its documents; one loop checks and reads them all,
-so every document must resolve to a regular file inside the corpus root.
+Each layout only lists its documents; one loop checks them all, so every
+document must resolve to a regular file inside the corpus root. Loading
+reads no document: pipeline steps 1-3 read each one as they reach it.
 
 Documents are decoded permissively (invalid bytes become replacement
 characters) because real corpora such as 20 Newsgroups contain malformed
@@ -17,6 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from termsift.errors import CorpusFormatError, EmptyCorpusError
 
@@ -24,30 +26,32 @@ LAYOUTS = ("flat", "class-subdirectories", "manifest-file")
 MANIFEST_NAME = "manifest.tsv"
 
 # What a layout lists per document: (doc_id, class label, path relative to
-# the root, prefix of any message about it). Layouts yield them one at a
-# time, so a manifest still fails at its first bad line, checked or read.
-_Entry = tuple[str, str | None, str, str]
+# the root, manifest line or 0). Layouts yield them one at a time, so a
+# manifest still fails at its first bad line.
+_Entry = tuple[str, str | None, str, int]
 
 
-@dataclass(frozen=True)
-class RawDocument:
+class Document(NamedTuple):
+    """A listed document, checked to be a regular file inside the corpus root:
+    ``read`` opens its real ``path``. ``root``, ``relpath`` and ``line`` (of
+    its manifest, or 0) name it in a read error, built only when one fails."""
+
     doc_id: str
-    text: str
-    class_label: str | None = None
+    class_label: str | None
+    path: str
+    root: Path
+    relpath: str
+    line: int
 
-
-@dataclass(frozen=True)
-class DocumentSet:
-    """An immutable, deterministically ordered document collection."""
-
-    name: str
-    documents: tuple[RawDocument, ...]
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
+    def read(self) -> str:
+        try:
+            with open(self.path, "rb", buffering=0) as f:
+                data = f.read()
+        except OSError as exc:
+            where = f"{self.root / MANIFEST_NAME}:{self.line}: " if self.line else ""
+            raise OSError(f"{where}cannot read document file {self.root / self.relpath}: "
+                          f"{exc}") from exc
+        return data.decode("utf-8", errors="replace")
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ def _scan_flat(root: Path) -> Iterator[_Entry]:
     with os.scandir(root) as entries:
         for e in entries:
             if e.is_file():
-                yield e.name, None, e.name, ""
+                yield e.name, None, e.name, 0
 
 
 def _scan_class_subdirs(root: Path) -> Iterator[_Entry]:
@@ -84,7 +88,7 @@ def _scan_class_subdirs(root: Path) -> Iterator[_Entry]:
                 for e in entries:
                     if e.is_file():
                         relpath = f"{sub.name}/{e.name}"
-                        yield relpath, sub.name, relpath, ""
+                        yield relpath, sub.name, relpath, 0
 
 
 def _scan_manifest(root: Path) -> Iterator[_Entry]:
@@ -104,7 +108,7 @@ def _scan_manifest(root: Path) -> Iterator[_Entry]:
                 f"{manifest}:{lineno}: expected 'doc_id<TAB>class<TAB>relative-path', got {line!r}"
             )
         doc_id, label, relpath = (p.strip() for p in parts)
-        yield doc_id, label or None, relpath, f"{manifest}:{lineno}: "
+        yield doc_id, label or None, relpath, lineno
 
 
 def _check_document(where: str, root: Path, relpath: str, base: str,
@@ -147,11 +151,11 @@ def _check_document(where: str, root: Path, relpath: str, base: str,
     return real
 
 
-def load_corpus(root_path: str | Path, layout: str = "flat", name: str | None = None) -> DocumentSet:
-    """Load every document under ``root_path`` per the given layout.
+def load_corpus(root_path: str | Path, layout: str = "flat") -> tuple[Document, ...]:
+    """List and check every document under ``root_path`` per the given layout.
 
     Ordering is lexicographic by doc_id, so repeated loads of the same
-    directory yield identical DocumentSets.
+    directory list identical documents. No document is opened.
     """
     root = Path(root_path)
     if layout not in LAYOUTS:
@@ -167,15 +171,11 @@ def load_corpus(root_path: str | Path, layout: str = "flat", name: str | None = 
         entries = _scan_manifest(root)
     base = os.path.join(os.path.realpath(root), "")
     real_dirs: dict[str, str] = {}
-    docs = []
-    for doc_id, label, relpath, where in entries:
-        real = _check_document(where, root, relpath, base, real_dirs)
-        try:
-            with open(real, "rb", buffering=0) as f:
-                data = f.read()
-        except OSError as exc:
-            raise OSError(f"{where}cannot read document file {root / relpath}: {exc}") from exc
-        docs.append(RawDocument(doc_id, data.decode("utf-8", errors="replace"), label))
+    manifest = root / MANIFEST_NAME
+    docs = [Document(doc_id, label, _check_document(f"{manifest}:{line}: " if line else "",
+                                                    root, relpath, base, real_dirs),
+                     root, relpath, line)
+            for doc_id, label, relpath, line in entries]
 
     if not docs:
         raise EmptyCorpusError(f"no documents found under {root} (layout={layout})")
@@ -186,7 +186,7 @@ def load_corpus(root_path: str | Path, layout: str = "flat", name: str | None = 
         if d.doc_id in seen:
             raise CorpusFormatError(f"duplicate doc_id {d.doc_id!r} in corpus {root}")
         seen.add(d.doc_id)
-    return DocumentSet(name=name or root.name, documents=tuple(docs))
+    return tuple(docs)
 
 
 def load_stopwords(path: str | Path) -> StopwordList:
@@ -211,20 +211,21 @@ def default_stopwords() -> StopwordList:
         return load_stopwords(path)
 
 
-def corpus_summary(corpus: DocumentSet, token_counts: list[int]) -> DatasetStats:
+def corpus_summary(name: str, documents: tuple[Document, ...], token_counts: list[int]
+                   ) -> DatasetStats:
     """Document/class counts, largest class size and mean token length.
 
     ``token_counts`` holds each document's token count before stopword
     removal (pipeline step 1); their mean is rounded half up to the
     nearest integer.
     """
-    n = len(corpus)
+    n = len(documents)
     by_class: dict[str, int] = {}
-    for d in corpus:
+    for d in documents:
         if d.class_label is not None:
             by_class[d.class_label] = by_class.get(d.class_label, 0) + 1
     return DatasetStats(
-        name=corpus.name,
+        name=name,
         documents=n,
         classes=len(by_class),
         largest_class=max(by_class.values(), default=0),

@@ -106,11 +106,12 @@ def _stage_errors(name: str):
         raise
 
 
-def extract_terms(corpus: corpus_io.DocumentSet, stopwords: corpus_io.StopwordList) -> TermVectors:
-    """Steps 1-3: tokenize, drop stop words (matched on surface forms), stem.
+def extract_terms(documents: tuple[corpus_io.Document, ...],
+                  stopwords: corpus_io.StopwordList) -> TermVectors:
+    """Steps 1-3: read, tokenize, drop stop words (matched on surface forms), stem.
 
-    Each document goes through all three steps before the next is read,
-    so only one document's tokens exist at a time; the three step lines
+    Each document is read and goes through all three steps before the next,
+    so only one document's text and tokens exist at a time; the three step lines
     are logged before the first document. The stemmer is a pure function
     of the word, so a document stems only the surface types no earlier
     one had, into the surface -> stem map step 4 groups per stem."""
@@ -120,15 +121,17 @@ def extract_terms(corpus: corpus_io.DocumentSet, stopwords: corpus_io.StopwordLi
     stem_of: dict[str, str] = {}
     vectors: list[TermVector] = []
     token_counts: list[int] = []
-    for doc in corpus:
-        tokens = tokenize(doc.text)
+    for doc in documents:
+        with _stage_errors("load_corpus"):
+            text = doc.read()
+        tokens = tokenize(text)
         token_counts.append(len(tokens))
         tokens = remove_stopwords(tokens, stopwords)
         for token in set(tokens).difference(stem_of):
             stem_of[token] = porter_stem(token)
         # a plain dict: the interpreter specialises row subscripts only on exact dicts
         counts = dict(Counter(map(stem_of.__getitem__, tokens)))
-        vectors.append(TermVector(doc_id=doc.doc_id, counts=counts, total=len(tokens)))
+        vectors.append(TermVector(doc_id=doc.doc_id, counts=counts))
     return TermVectors(vectors=vectors, stem_of=stem_of, token_counts=token_counts)
 
 
@@ -196,9 +199,11 @@ def run_chain(config: PipelineConfig, last_step: int = 7,
     config.validate()
     with _stage_errors("load_corpus"):
         corpus = corpus_io.load_corpus(config.corpus_path, config.layout)
+    name = Path(config.corpus_path).name
     if last_step == 1:
-        token_counts = [len(tokenize(d.text)) for d in corpus]
-        return PipelineResult(stats=corpus_io.corpus_summary(corpus, token_counts))
+        with _stage_errors("load_corpus"):
+            token_counts = [len(tokenize(d.read())) for d in corpus]
+        return PipelineResult(stats=corpus_io.corpus_summary(name, corpus, token_counts))
 
     with _stage_errors("load_stopwords"):
         if config.stopword_path is not None:
@@ -206,7 +211,7 @@ def run_chain(config: PipelineConfig, last_step: int = 7,
         else:
             stopwords = corpus_io.default_stopwords()
     log.info("loaded corpus %s: %d documents; stopword list: %d words",
-             corpus.name, len(corpus), len(stopwords))
+             name, len(corpus), len(stopwords))
     db = None
     # a prefix ending at step 6 drops the annotations, so only a filter needs WordNet there
     if (last_step == 7 and config.wordnet_policy != "off"
@@ -221,9 +226,9 @@ def run_chain(config: PipelineConfig, last_step: int = 7,
                      db.version, db.lemma_count, db.synset_count)
 
     terms = extract_terms(corpus, stopwords)
-    result = PipelineResult(stats=corpus_io.corpus_summary(corpus, terms.token_counts),
+    result = PipelineResult(stats=corpus_io.corpus_summary(name, corpus, terms.token_counts),
                             stopwords=stopwords, db=db)
-    del corpus  # steps 4-7 read no document text
+    del corpus  # steps 4-7 read no document
     if last_step == 3:
         result.terms = terms
         return result

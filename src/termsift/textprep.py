@@ -19,11 +19,10 @@ _TOKEN_RE = re.compile(r"[a-z]{2,}")
 
 @dataclass(frozen=True)
 class TermVector:
-    """Term -> occurrence count for one document; total is the count sum."""
+    """Term -> occurrence count for one document."""
 
     doc_id: str
     counts: Mapping[str, int]
-    total: int
 
 
 def tokenize(text: str) -> list[str]:

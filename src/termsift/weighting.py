@@ -55,9 +55,6 @@ class CorpusIndex:
     def doc_count(self) -> int:
         return len(self.doc_ids)
 
-    def term_index(self) -> dict[str, int]:
-        return {t: j for j, t in enumerate(self.vocabulary)}
-
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -143,8 +140,8 @@ def build_index(vectors: Sequence[TermVector], keep: Container[str] | None = Non
                 ) -> CorpusIndex:
     """Vocabulary (sorted), per-term document frequencies and the document rows.
 
-    With ``keep``, only the terms in it are indexed, and each row's TF
-    divides by the document's count of kept terms."""
+    With ``keep``, only the terms in it are indexed. Each row's TF divides
+    by the document's count of indexed terms."""
     if not vectors:
         raise EmptyCorpusError("cannot build an index from zero documents")
     df: dict[str, int] = {}
@@ -158,11 +155,8 @@ def build_index(vectors: Sequence[TermVector], keep: Container[str] | None = Non
     for v in vectors:
         # the vocabulary is sorted, so sorted terms give ascending ids
         counts = v.counts
-        if keep is None:
-            terms, total = sorted(counts), v.total
-        else:
-            terms = sorted([t for t in counts if t in ids])
-            total = sum([counts[t] for t in terms])
+        terms = sorted(counts) if keep is None else sorted([t for t in counts if t in ids])
+        total = sum([counts[t] for t in terms])
         term_ids.append(array("i", [ids[t] for t in terms]))
         tf.append(array("d", [counts[t] / total for t in terms]))
     return CorpusIndex(

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 
 import pytest
@@ -173,6 +174,51 @@ class TestValidation:
         assert out == ""
         assert err.startswith(f"termsift: error: stage load_corpus: {root / 'manifest.tsv'}:2: "
                               f"cannot read document file {root / 'missing.txt'}: ")
+
+    @staticmethod
+    def unreadable_manifest_corpus(tmp_path, monkeypatch):
+        """A manifest corpus whose second document passes the checks but cannot be
+        opened. The corpus module's ``open`` is made to fail, since a mode bit
+        does not stop a read by root."""
+        from termsift import corpus as corpus_mod
+
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "a.txt").write_text("wheat")
+        (root / "b.txt").write_text("barley")
+        (root / "manifest.tsv").write_text("a\tc\ta.txt\nb\tc\tb.txt\n")
+
+        def failing_open(path, *args, **kwargs):
+            if os.path.basename(path) == "b.txt":
+                raise PermissionError(13, "Permission denied", path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(corpus_mod, "open", failing_open, raising=False)
+        return root
+
+    @pytest.mark.parametrize("command", ["stats", "preprocess", "select"])
+    def test_unreadable_document_names_file_line_and_stage(self, capsys, tmp_path,
+                                                           monkeypatch, command):
+        root = self.unreadable_manifest_corpus(tmp_path, monkeypatch)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, command, str(root), "--layout", "manifest-file",
+                             "--out", str(out_dir))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith(f"termsift: error: stage load_corpus: {root / 'manifest.tsv'}:2: "
+                              f"cannot read document file {root / 'b.txt'}: "
+                              "[Errno 13] Permission denied: ")
+        assert not out_dir.exists()
+
+    def test_bad_stopword_file_wins_over_an_unreadable_document(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # documents are read in steps 1-3, after the stop words are loaded
+        root = self.unreadable_manifest_corpus(tmp_path, monkeypatch)
+        code, _, err = run(capsys, "preprocess", str(root), "--layout", "manifest-file",
+                           "--stopwords", str(tmp_path / "missing.txt"))
+        assert code == EXIT_DATA
+        assert err == ("termsift: error: stage load_stopwords: stopword file not found: "
+                       f"{tmp_path / 'missing.txt'}\n")
 
     def test_unexpected_exception_exits_internal(self, capsys, corpus, monkeypatch):
         from termsift import corpus as corpus_mod

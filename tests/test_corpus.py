@@ -10,7 +10,6 @@ from termsift import corpus as corpus_mod
 from termsift.corpus import (
     LAYOUTS,
     DatasetStats,
-    DocumentSet,
     corpus_summary,
     default_stopwords,
     load_corpus,
@@ -25,8 +24,8 @@ def write(path, text):
 
 
 def guard_open(monkeypatch):
-    """Make the loader's ``open`` fail the test for any file but ``ok.txt``;
-    returns the list of base names it is asked to open."""
+    """Make the corpus module's ``open`` fail the test for any file but
+    ``ok.txt``; returns the list of base names it is asked to open."""
     opened = []
 
     def guarded_open(path, *args, **kwargs):
@@ -47,9 +46,9 @@ class TestLoadCorpus:
         write(tmp_path / "a.txt", "hello")
         corpus = load_corpus(tmp_path, "flat")
         assert len(corpus) == 1
-        assert corpus.documents[0].doc_id == "a.txt"
-        assert corpus.documents[0].text == "hello"
-        assert corpus.documents[0].class_label is None
+        assert corpus[0].doc_id == "a.txt"
+        assert corpus[0].read() == "hello"
+        assert corpus[0].class_label is None
 
     def test_class_subdirectories(self, tmp_path):
         for cls in ("one", "two"):
@@ -65,7 +64,7 @@ class TestLoadCorpus:
         write(tmp_path / "manifest.tsv", "docB\tcls\tdocs/y.txt\ndocA\tcls\tdocs/x.txt\n")
         corpus = load_corpus(tmp_path, "manifest-file")
         assert [d.doc_id for d in corpus] == ["docA", "docB"]
-        assert corpus.documents[0].text == "xx"
+        assert corpus[0].read() == "xx"
 
     def test_empty_directory_is_an_error(self, tmp_path):
         with pytest.raises(EmptyCorpusError):
@@ -103,7 +102,7 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError) as exc:
             load_corpus(root, "manifest-file")
         assert str(exc.value).startswith(f"{manifest}:2: ")
-        assert opened == ["ok.txt"]
+        assert opened == []
 
     def test_manifest_path_with_a_nul_names_manifest_line(self, tmp_path):
         write(tmp_path / "x.txt", "xx")
@@ -127,7 +126,7 @@ class TestLoadCorpus:
         write(tmp_path / "docs" / "x.txt", "xx")
         os.symlink(tmp_path / "docs" / "x.txt", tmp_path / "link.txt")
         write(tmp_path / "manifest.tsv", "a\tc\tlink.txt\n")
-        assert load_corpus(tmp_path, "manifest-file").documents[0].text == "xx"
+        assert load_corpus(tmp_path, "manifest-file")[0].read() == "xx"
 
     @pytest.mark.parametrize("layout", DIRECTORY_LAYOUTS)
     def test_directory_symlink_out_of_root_is_rejected_unopened(self, tmp_path, monkeypatch,
@@ -150,8 +149,8 @@ class TestLoadCorpus:
         write(tmp_path / prefix / "x.txt", "xx")
         os.symlink("x.txt", tmp_path / prefix / "link.txt")
         corpus = load_corpus(tmp_path, layout)
-        assert [(d.doc_id, d.text) for d in corpus] == [(prefix + "link.txt", "xx"),
-                                                        (prefix + "x.txt", "xx")]
+        assert [(d.doc_id, d.read()) for d in corpus] == [(prefix + "link.txt", "xx"),
+                                                          (prefix + "x.txt", "xx")]
 
     @pytest.mark.parametrize("layout", DIRECTORY_LAYOUTS)
     def test_directory_entries_that_are_not_files_are_skipped(self, tmp_path, monkeypatch,
@@ -164,12 +163,14 @@ class TestLoadCorpus:
         opened = guard_open(monkeypatch)
         corpus = load_corpus(tmp_path, layout)
         assert [d.doc_id for d in corpus] == [DIRECTORY_LAYOUTS[layout] + "ok.txt"]
+        assert opened == []
+        assert corpus[0].read() == "fine"
         assert opened == ["ok.txt"]
 
     def test_permissive_decoding(self, tmp_path):
         (tmp_path / "bad.txt").write_bytes(b"caf\xe9 latte \xff\xfe")
         corpus = load_corpus(tmp_path, "flat")
-        assert "latte" in corpus.documents[0].text
+        assert "latte" in corpus[0].read()
 
     def test_deterministic_reload(self, tmp_path):
         for name in ("b.txt", "a.txt", "c.txt"):
@@ -209,7 +210,8 @@ class TestLoadCorpusFuzz:
            manifest=st.one_of(st.lists(_MANIFEST_LINES, max_size=5).map(
                lambda lines: "\n".join(lines).encode()), st.binary(max_size=60)),
            special=st.booleans())
-    def test_only_a_document_set_or_a_documented_error(self, layout, files, manifest, special):
+    def test_only_a_checked_listing_or_a_documented_error(self, layout, files, manifest,
+                                                          special):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "corpus"
             root.mkdir()
@@ -229,8 +231,12 @@ class TestLoadCorpusFuzz:
                 result = load_corpus(root, layout)
             except (TermsiftError, OSError):
                 return
-            assert isinstance(result, DocumentSet) and len(result) > 0
-            assert all(d.text != "outside text" for d in result)
+            assert len(result) > 0
+            real_root = os.path.join(os.path.realpath(root), "")
+            for d in result:
+                # checked before any read: a FIFO would block the read below
+                assert d.path.startswith(real_root) and os.path.isfile(d.path)
+                assert d.read() != "outside text"
 
 
 class TestStopwords:
@@ -267,7 +273,7 @@ class TestSummary:
         for cls, sizes in (("one", 12), ("two", 8)):
             for i in range(sizes):
                 write(tmp_path / cls / f"d{i}.txt", "alpha beta gamma")
-        stats = corpus_summary(load_corpus(tmp_path, "class-subdirectories"), [3] * 20)
+        stats = corpus_summary("c", load_corpus(tmp_path, "class-subdirectories"), [3] * 20)
         assert stats.documents == 20
         assert stats.classes == 2
         assert stats.largest_class == 12
@@ -276,19 +282,17 @@ class TestSummary:
     def test_average_is_mean_rounded_half_up(self, tmp_path):
         for name in ("a.txt", "b.txt", "c.txt"):
             write(tmp_path / name, "tok")
-        assert corpus_summary(load_corpus(tmp_path), [10, 20, 30]).avg_doc_length == 20
+        assert corpus_summary("c", load_corpus(tmp_path), [10, 20, 30]).avg_doc_length == 20
         write(tmp_path / "d.txt", "tok")
         # mean 63/4 = 15.75 -> 16
-        assert corpus_summary(load_corpus(tmp_path), [10, 20, 30, 3]).avg_doc_length == 16
+        assert corpus_summary("c", load_corpus(tmp_path), [10, 20, 30, 3]).avg_doc_length == 16
         # mean 2.5 rounds up to 3
-        assert corpus_summary(load_corpus(tmp_path), [1, 2, 3, 4]).avg_doc_length == 3
+        assert corpus_summary("c", load_corpus(tmp_path), [1, 2, 3, 4]).avg_doc_length == 3
 
     def test_empty_corpus_stats(self):
-        from termsift.corpus import DocumentSet
-
-        stats = corpus_summary(DocumentSet(name="x", documents=()), [])
+        stats = corpus_summary("x", (), [])
         assert stats == DatasetStats("x", 0, 0, 0, 0)
 
     def test_document_count_matches_exactly(self, minicorpus_dir):
         corpus = load_corpus(minicorpus_dir, "class-subdirectories")
-        assert corpus_summary(corpus, [0] * len(corpus)).documents == len(corpus)
+        assert corpus_summary("c", corpus, [0] * len(corpus)).documents == len(corpus)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from termsift import corpus as corpus_io
 from termsift import pipeline, porter, wordnet
-from termsift.corpus import DocumentSet, RawDocument, StopwordList
+from termsift.corpus import StopwordList, load_corpus
 from termsift.pipeline import PipelineConfig, extract_terms, run_chain, run_pipeline
 
 SW = StopwordList(words=frozenset({"the", "of", "and", "a", "is"}))
@@ -40,30 +41,29 @@ def config_for(corpus, tmp_path, **kw):
 
 
 def extract(*docs, stopwords=SW):
-    return extract_terms(DocumentSet(name="c", documents=docs), stopwords)
+    """``extract_terms`` over (doc_id, text) pairs, each written to a file named doc_id."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for doc_id, text in docs:
+            (Path(tmp) / doc_id).write_text(text, encoding="utf-8")
+        return extract_terms(load_corpus(tmp, "flat"), stopwords)
 
 
 class TestExtractTerms:
     """Steps 1-3 through ``extract_terms``."""
 
     def test_document_vector(self):
-        terms = extract(RawDocument("d1", "The running dogs and the jumping dogs."))
+        terms = extract(("d1", "The running dogs and the jumping dogs."))
         (v,) = terms.vectors
         assert v.doc_id == "d1"
         assert v.counts == {"run": 1, "dog": 2, "jump": 1}
-        assert v.total == 4
-
-    def test_total_is_count_sum(self):
-        (v,) = extract(RawDocument("d", "wheat wheat barley the of and")).vectors
-        assert v.total == sum(v.counts.values()) == 3
 
     def test_corpus_surface_map(self):
-        terms = extract(RawDocument("a", "ponies run"), RawDocument("b", "pony runs"))
+        terms = extract(("a", "ponies run"), ("b", "pony runs"))
         assert len(terms.vectors) == 2
         assert terms.stem_of == {"ponies": "poni", "pony": "poni", "run": "run", "runs": "run"}
 
     def test_vectors_independent_of_other_documents(self):
-        docs = [RawDocument(f"d{i}", f"harvest market grain grain x{i}ing") for i in range(4)]
+        docs = [(f"d{i}", f"harvest market grain grain x{i}ing") for i in range(4)]
         together = extract(*docs).vectors
         assert together == [extract(doc).vectors[0] for doc in docs]
 
@@ -71,16 +71,15 @@ class TestExtractTerms:
         # "running" is not a stopword even if "run" were one: matching happens
         # before stemming, on the surface token
         sw = StopwordList(words=frozenset({"run"}))
-        (v,) = extract(RawDocument("d", "run running"), stopwords=sw).vectors
+        (v,) = extract(("d", "run running"), stopwords=sw).vectors
         assert v.counts == {"run": 1}  # the stem of "running"
 
     def test_empty_document_allowed(self):
-        (v,) = extract(RawDocument("d", "the of and")).vectors
+        (v,) = extract(("d", "the of and")).vectors
         assert v.counts == {}
-        assert v.total == 0
 
     def test_token_counts_are_taken_before_stopword_removal(self):
-        terms = extract(RawDocument("a", "the of and"), RawDocument("b", "wheat a 7 x barley"))
+        terms = extract(("a", "the of and"), ("b", "wheat a 7 x barley"))
         assert terms.token_counts == [3, 2]
 
     def test_each_surface_token_is_stemmed_once(self, monkeypatch):
@@ -91,13 +90,12 @@ class TestExtractTerms:
             return porter.stem(word)
 
         monkeypatch.setattr(pipeline, "porter_stem", counting_stem)
-        terms = extract(RawDocument("a", "ponies run runs ponies"),
-                        RawDocument("b", "pony runs the run"),
-                        RawDocument("c", "ponies ponies pony"))
+        terms = extract(("a", "ponies run runs ponies"),
+                        ("b", "pony runs the run"),
+                        ("c", "ponies ponies pony"))
         assert calls == {"ponies": 1, "run": 1, "runs": 1, "pony": 1}
         assert [v.counts for v in terms.vectors] == [
             {"poni": 2, "run": 2}, {"poni": 1, "run": 2}, {"poni": 3}]
-        assert [v.total for v in terms.vectors] == [4, 3, 3]
         assert terms.stem_of == {"ponies": "poni", "pony": "poni", "run": "run", "runs": "run"}
 
     def test_memory_keeps_no_container_per_stem(self):
@@ -105,7 +103,7 @@ class TestExtractTerms:
         letters = "bcdfghjklmnpqrtvwxz"
         words = [f"zq{letters[k // 361]}{letters[k // 19 % 19]}{letters[k % 19]}{n}o"
                  for k in range(19 ** 3) for n in ("", "l", "n")][:20_000]
-        docs = [RawDocument(f"d{i}", " ".join(words[i:i + 1000]))
+        docs = [(f"d{i}", " ".join(words[i:i + 1000]))
                 for i in range(0, len(words), 1000)]
         tracemalloc.start()
         try:
@@ -126,19 +124,19 @@ class TestExtractTerms:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(TEXT, min_size=1, max_size=8))
     def test_matches_a_whole_corpus_reference(self, texts):
-        docs = [RawDocument(f"d,{i}", " ".join(words).upper() if i % 3 == 0
+        docs = [(f"d,{i}", " ".join(words).upper() if i % 3 == 0
                             else " ".join(words)) for i, words in enumerate(texts)]
         terms = extract(*docs)
         # the reference runs each step over the whole corpus before the next
-        tokenized = [re.findall("[a-z]+", d.text.lower()) for d in docs]
+        tokenized = [re.findall("[a-z]+", text.lower()) for _, text in docs]
         tokenized = [[t for t in tokens if len(t) >= 2] for tokens in tokenized]
         token_counts = [len(tokens) for tokens in tokenized]
         kept = [[t for t in tokens if t not in SW.words] for tokens in tokenized]
         stems = [[porter.stem(t) for t in tokens] for tokens in kept]
         stem_of = {t: s for tokens, stemmed in zip(kept, stems) for t, s in zip(tokens, stemmed)}
         assert terms.token_counts == token_counts
-        assert [(v.doc_id, dict(v.counts), v.total) for v in terms.vectors] == [
-            (d.doc_id, dict(Counter(stemmed)), len(stemmed)) for d, stemmed in zip(docs, stems)]
+        assert [(v.doc_id, dict(v.counts)) for v in terms.vectors] == [
+            (doc_id, dict(Counter(stemmed))) for (doc_id, _), stemmed in zip(docs, stems)]
         assert terms.stem_of == stem_of
 
 

@@ -26,7 +26,7 @@ from termsift.weighting import (
 
 
 def vec(doc_id, counts):
-    return TermVector(doc_id=doc_id, counts=dict(counts), total=sum(counts.values()))
+    return TermVector(doc_id=doc_id, counts=dict(counts))
 
 
 def left_to_right_sum(weights):
@@ -48,7 +48,7 @@ def _cell(vectors, i, term):
     f = vectors[i].counts.get(term, 0)
     if f == 0:
         raise ZeroFrequencyError(f"term {term!r} has zero frequency in document {i}")
-    return f, vectors[i].total, sum(term in v.counts for v in vectors)
+    return f, sum(vectors[i].counts.values()), sum(term in v.counts for v in vectors)
 
 
 def tfidf(vectors, i, term):
@@ -83,7 +83,6 @@ class TestIndex:
         assert index.vocabulary == ("m", "z")
         assert index.df == (2, 1)
         assert index.doc_count == 2
-        assert index.term_index() == {"m": 0, "z": 1}
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -148,7 +147,8 @@ class TestMatrix:
     def test_only_populated_cells_present(self):
         index = build_index([vec("a", {"x": 1}), vec("b", {"y": 1})])
         matrix = compute_matrix(index, "tfidf")
-        assert set(matrix.entries) == {(0, index.term_index()["x"]), (1, index.term_index()["y"])}
+        pos = {t: j for j, t in enumerate(index.vocabulary)}
+        assert set(matrix.entries) == {(0, pos["x"]), (1, pos["y"])}
         assert (len(matrix.doc_ids), len(matrix.vocabulary)) == (2, 2)
 
     def test_unknown_scheme(self):
@@ -238,7 +238,7 @@ class TestSelection:
     def test_aggregations(self):
         index = build_index([vec("a", {"x": 3, "y": 1}), vec("b", {"x": 1, "z": 3})])
         matrix = compute_matrix(index, "tfdf")
-        jx = index.term_index()["x"]
+        jx = index.vocabulary.index("x")
         by_max = select_key_terms(matrix, 0, "max")
         by_mean = select_key_terms(matrix, 0, "mean")
         assert by_max.terms == by_mean.terms
@@ -424,7 +424,7 @@ def test_count_scaling_invariance(data):
     scale = data.draw(st.integers(2, 50))
     vectors = random_vectors(rng)
     scaled = [
-        TermVector(v.doc_id, {t: c * scale for t, c in v.counts.items()}, v.total * scale)
+        TermVector(v.doc_id, {t: c * scale for t, c in v.counts.items()})
         for v in vectors
     ]
     m1 = {s: compute_matrix(build_index(vectors), s) for s in SCHEMES}
@@ -450,7 +450,6 @@ def test_tf2_product_identity(seed):
 def test_tfidf_zero_iff_term_everywhere(seed):
     index = build_index(random_vectors(random.Random(seed)))
     m = compute_matrix(index, "tfidf")
-    pos = index.term_index()
     everywhere = {t for j, t in enumerate(index.vocabulary) if index.df[j] == index.doc_count}
     for (i, j), w in m.entries.items():
         term = index.vocabulary[j]
@@ -570,7 +569,7 @@ class TestExport:
     def test_ten_significant_digits(self, tmp_path):
         matrix = compute_matrix(self.INDEX, "tfidf")
         path = export_matrix(matrix, tmp_path / "m.triplets", fmt="coordinate-triplet")
-        pos = self.INDEX.term_index()
+        pos = {t: j for j, t in enumerate(self.INDEX.vocabulary)}
         docs = {d: i for i, d in enumerate(matrix.doc_ids)}
         for line in path.read_text().splitlines():
             doc_id, term, printed = line.split(",")

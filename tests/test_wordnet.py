@@ -452,8 +452,8 @@ class TestCascadeAgainstReference:
 
 class TestAnnotate:
     VECTORS = [
-        TermVector("d1", {"dog": 2, "qqfoo": 1, "agre": 1}, 4),
-        TermVector("d2", {"poni": 3, "qqfoo": 2}, 5),
+        TermVector("d1", {"dog": 2, "qqfoo": 1, "agre": 1}),
+        TermVector("d2", {"poni": 3, "qqfoo": 2}),
     ]
     ORIGINALS = {
         "dog": {"dog", "dogs"},

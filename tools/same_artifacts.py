@@ -5,9 +5,9 @@ write byte-identical artifacts and output in two trees.
 
 Runs the CLI with the ``src`` of OLD_TREE (another checkout, e.g. an
 exported parent commit) and with this checkout's ``src`` on each case,
-and compares the exit codes, the standard output and every file the
-two runs write except ``metadata.json``, whose timestamp always
-differs. The cases:
+and compares the exit codes, the standard output and error, and every
+file the two runs write except ``metadata.json``, whose timestamp
+always differs. The cases:
 
 - ``select`` on the bundled minicorpus with WordNet off
 - the same with ``--format csv --aggregation mean --gamma 0.001``
@@ -34,6 +34,9 @@ differs. The cases:
   lemmas from its ``lemmas.tsv`` (which lists only those), 12 ``_``
   collocation fillers from each of its two index files, and two words it
   does not hold
+- ``select`` on corpora that must fail: a manifest line with two fields,
+  a manifest naming a missing document, a duplicate doc id, an empty
+  corpus, and a document that is a symlink out of the corpus root
 
 Both trees read the same inputs, taken from this checkout, and each
 runs with a fresh temporary ``XDG_CACHE_HOME``, so the WordNet cache of
@@ -43,8 +46,8 @@ database is parsed and the cache written) and then with the cache
 warm, and both runs are compared with the old tree's.
 
 Prints one line per comparison and exits 1 at the first case that
-differs, naming the first file (or the exit code or output) that does;
-exits 0 when every case is identical.
+differs, naming the first file (or the exit code, output or error) that
+does; exits 0 when every case is identical.
 """
 
 from __future__ import annotations
@@ -83,6 +86,33 @@ def generated_lex_words(wordnet_dir: Path) -> list[str]:
                        if not line.startswith(" ") and "_" in line.split(" ", 1)[0]]
         words += spread(fillers, LEX_SAMPLE)
     return words + ["zzyzx", "zzyzx_qq"]
+
+
+def failing_corpora(work: Path) -> dict[str, tuple[Path, str]]:
+    """Corpora that ``select`` must reject: name -> (root, layout)."""
+    def manifest(name: str, lines: str) -> Path:
+        root = work / "failing" / name
+        root.mkdir(parents=True)
+        (root / "a.txt").write_text("wheat barley", encoding="utf-8")
+        (root / "manifest.tsv").write_text(lines, encoding="utf-8")
+        return root
+
+    empty = work / "failing" / "empty"
+    empty.mkdir(parents=True)
+    escape = work / "failing" / "escape"
+    (escape / "cls").mkdir(parents=True)
+    (escape / "cls" / "a.txt").write_text("wheat barley", encoding="utf-8")
+    (work / "failing" / "outside.txt").write_text("outside text", encoding="utf-8")
+    (escape / "cls" / "link.txt").symlink_to(work / "failing" / "outside.txt")
+    return {
+        "a manifest line with two fields": (manifest("fields", "a\ta.txt\n"), "manifest-file"),
+        "a missing document": (manifest("missing", "a\tc\ta.txt\nb\tc\tmissing.txt\n"),
+                               "manifest-file"),
+        "a duplicate doc id": (manifest("duplicate", "a\tc\ta.txt\na\tc\ta.txt\n"),
+                               "manifest-file"),
+        "an empty corpus": (empty, "flat"),
+        "a symlink out of the root": (escape, "class-subdirectories"),
+    }
 
 
 def cases(work: Path) -> list[tuple[str, list[str]]]:
@@ -136,6 +166,10 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
             found.append((f"{name} seed {SEED}, lex of lemmas and collocations",
                           ["lex", *generated_lex_words(wordnet_dir),
                            "--wordnet-dir", str(wordnet_dir)]))
+    for name, (root, layout) in failing_corpora(work).items():
+        found.append((f"select fails on {name}",
+                      ["select", str(root), "--layout", layout, "--wordnet-policy", "off",
+                       "--out", "out"]))
     return found
 
 
@@ -154,6 +188,8 @@ def first_difference(old: subprocess.CompletedProcess, new: subprocess.Completed
         return f"exit code {old.returncode} -> {new.returncode}"
     if old.stdout != new.stdout:
         return "standard output"
+    if old.stderr != new.stderr:
+        return "standard error"
     names = {p.name for out in (old_out, new_out) if out.is_dir() for p in out.iterdir()}
     for name in sorted(names - EXEMPT):
         a, b = old_out / name, new_out / name
