@@ -15,7 +15,6 @@ import hashlib
 import os
 import stat
 from collections.abc import Iterator
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -54,17 +53,16 @@ class Document(NamedTuple):
         return data.decode("utf-8", errors="replace")
 
 
-@dataclass(frozen=True)
 class StopwordList:
-    words: frozenset[str]
-    sha256: str = ""
+    def __init__(self, words: frozenset[str], sha256: str = ""):
+        self.words = words
+        self.sha256 = sha256
 
     def __len__(self) -> int:
         return len(self.words)
 
 
-@dataclass
-class DatasetStats:
+class DatasetStats(NamedTuple):
     name: str
     documents: int
     classes: int

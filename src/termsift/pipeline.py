@@ -18,8 +18,8 @@ import math
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from termsift import __version__
 from termsift import corpus as corpus_io
@@ -34,8 +34,7 @@ WORDNET_POLICIES = ("annotate-only", "filter-nonwordnet", "off")
 LOG_BASES = {"e": math.e, "10": 10.0, "2": 2.0}
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     corpus_path: str
     layout: str = "flat"
     stopword_path: str | None = None  # bundled default list when None
@@ -66,8 +65,7 @@ class PipelineConfig:
             raise ValueError(f"unknown matrix format {self.matrix_format!r}")
 
 
-@dataclass
-class TermVectors:
+class TermVectors(NamedTuple):
     """Steps 1-3: stem -> count per document, one surface -> stem map for
     the corpus, and each document's token count before stop-word removal."""
 
@@ -76,20 +74,21 @@ class TermVectors:
     token_counts: list[int]
 
 
-@dataclass
 class PipelineResult:
-    """What a run of the chain produced; stages the run did not reach stay empty."""
+    """What a run of the chain produced, filled in stage by stage by ``run_chain``;
+    stages the run did not reach stay empty."""
 
-    stats: corpus_io.DatasetStats
-    stopwords: corpus_io.StopwordList | None = None
-    db: wordnet.WordNetDb | None = None
-    terms: TermVectors | None = None  # kept only when the chain ends at step 3
-    annotations: dict[str, wordnet.LexEntry] = field(default_factory=dict)
-    matrices: dict[str, weighting.WeightMatrix] = field(default_factory=dict)
-    key_terms: dict[str, weighting.KeyTermSet] = field(default_factory=dict)  # per scheme
-    joint: weighting.KeyTermSet | None = None
-    rows: list[report_mod.ReductionRow] = field(default_factory=list)
-    artifacts: dict[str, Path] = field(default_factory=dict)
+    def __init__(self, stats: corpus_io.DatasetStats,
+                 stopwords: corpus_io.StopwordList | None = None,
+                 db: wordnet.WordNetDb | None = None):
+        self.stats, self.stopwords, self.db = stats, stopwords, db
+        self.terms: TermVectors | None = None  # kept only when the chain ends at step 3
+        self.annotations: dict[str, wordnet.LexEntry] = {}
+        self.matrices: dict[str, weighting.WeightMatrix] = {}
+        self.key_terms: dict[str, weighting.KeyTermSet] = {}  # per scheme
+        self.joint: weighting.KeyTermSet | None = None
+        self.rows: list[report_mod.ReductionRow] = []
+        self.artifacts: dict[str, Path] = {}
 
 
 @contextmanager

@@ -7,12 +7,11 @@ weighting module.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from termsift.corpus import DatasetStats
+from termsift.weighting import csv_field
 
 FORMATS = ("plain-text", "csv", "json")
 
@@ -31,8 +30,7 @@ _CSV_COLUMNS = [
 ]
 
 
-@dataclass
-class ReductionRow:
+class ReductionRow(NamedTuple):
     dataset: str
     scheme: str
     threshold: float | None
@@ -41,8 +39,7 @@ class ReductionRow:
     removed_pct: str
 
 
-@dataclass
-class RunMetadata:
+class RunMetadata(NamedTuple):
     stopword_count: int
     stopword_sha256: str
     wordnet_version: str
@@ -97,27 +94,19 @@ def render_tables(
     if fmt == "plain-text":
         return _render_plain(rows, stats)
     if fmt == "json":
-        doc = {"stats": [asdict(s) for s in stats], "rows": [asdict(r) for r in rows]}
+        doc = {"stats": [s._asdict() for s in stats], "rows": [r._asdict() for r in rows]}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for s in stats:
-            writer.writerow(
-                ["stats", s.name, s.documents, s.classes, s.largest_class, s.avg_doc_length,
-                 "", "", "", "", ""]
-            )
-        for r in rows:
-            writer.writerow(
-                ["reduction", r.dataset, "", "", "", "", r.scheme,
-                 "" if r.threshold is None else f"{r.threshold!r}",
-                 r.term_count, r.key_term_count, r.removed_pct]
-            )
-        return buf.getvalue()
+        records = [_CSV_COLUMNS]
+        records += [["stats", s.name, s.documents, s.classes, s.largest_class, s.avg_doc_length,
+                     "", "", "", "", ""] for s in stats]
+        records += [["reduction", r.dataset, "", "", "", "", r.scheme,
+                     "" if r.threshold is None else f"{r.threshold!r}",
+                     r.term_count, r.key_term_count, r.removed_pct] for r in rows]
+        return "".join(",".join([csv_field(str(v)) for v in rec]) + "\n" for rec in records)
     raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
 
 
 def emit_metadata(meta: RunMetadata) -> str:
     """JSON metadata record attributing a run's configuration."""
-    return json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n"
+    return json.dumps(meta._asdict(), indent=2, sort_keys=True) + "\n"

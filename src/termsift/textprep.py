@@ -8,8 +8,7 @@ stemmer ``termsift.porter.stem``, to a whole corpus as steps 1-3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from termsift.corpus import StopwordList
 
@@ -17,8 +16,7 @@ from termsift.corpus import StopwordList
 _TOKEN_RE = re.compile(r"[a-z]{2,}")
 
 
-@dataclass(frozen=True)
-class TermVector:
+class TermVector(NamedTuple):
     """Term -> occurrence count for one document."""
 
     doc_id: str

@@ -24,9 +24,8 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Container, Mapping
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from termsift.errors import EmptyCorpusError
 from termsift.textprep import TermVector
@@ -36,8 +35,7 @@ AGGREGATIONS = ("max", "mean")
 EXPORT_FORMATS = ("csv", "coordinate-triplet")
 
 
-@dataclass(frozen=True)
-class CorpusIndex:
+class CorpusIndex(NamedTuple):
     """Global vocabulary, document frequencies and one row per document.
 
     Row ``i`` is ``term_ids[i]``, the document's term ids in ascending
@@ -56,23 +54,20 @@ class CorpusIndex:
         return len(self.doc_ids)
 
 
-@dataclass(frozen=True)
 class Thresholds:
-    alpha: float = 0.028  # minimum tfidf
-    beta: float = 0.01  # minimum tfdf
-    gamma: float = 0.005  # minimum tf2
+    """The minimum tfidf (``alpha``), tfdf (``beta``) and tf2 (``gamma``) weights."""
 
-    def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
+    def __init__(self, alpha: float = 0.028, beta: float = 0.01, gamma: float = 0.005):
+        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"threshold {name} must be finite and >= 0, got {value}")
+        self.alpha, self.beta, self.gamma = alpha, beta, gamma
 
     def for_scheme(self, scheme: str) -> float:
         return {"tfidf": self.alpha, "tfdf": self.beta, "tf2": self.gamma}[scheme]
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+class WeightMatrix(NamedTuple):
     """One weight per populated cell, stored as the index's rows: ``weights[i]``,
     an ``array('d')``, is aligned with ``term_ids[i]``, the ``array('i')`` the
     index holds for document i."""
@@ -115,8 +110,7 @@ class _Entries(Mapping):
                 yield (i, j)
 
 
-@dataclass(frozen=True)
-class KeyTermSet:
+class KeyTermSet(NamedTuple):
     scheme: str
     threshold: float | None  # None for the joint (three-threshold) selection
     aggregation: str

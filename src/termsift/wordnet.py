@@ -38,10 +38,9 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from termsift.errors import WordNetFormatError
 
@@ -91,8 +90,7 @@ _RULES_BY_LAST_LETTER = {
 _NO_RULES: tuple[tuple, tuple] = ((), ())
 
 
-@dataclass(frozen=True)
-class LexEntry:
+class LexEntry(NamedTuple):
     lemma: str
     categories: frozenset[str]
 
@@ -101,16 +99,24 @@ class LexEntry:
         return bool(self.categories)
 
 
-@dataclass(frozen=True)
 class WordNetDb:
-    # token-shaped lemma ([a-z]+) -> category names of its noun synsets
-    noun: dict[str, frozenset[str]]
-    verb: dict[str, frozenset[str]]
-    # marshal.dumps((noun, verb)) of the maps of every other lemma
-    other_lemmas: bytes
-    lemma_count: int  # noun and verb lemmas of both shapes
-    synset_count: int
-    version: str
+    def __init__(self, noun: dict[str, frozenset[str]], verb: dict[str, frozenset[str]],
+                 other_lemmas: bytes, lemma_count: int, synset_count: int, version: str):
+        # token-shaped lemma ([a-z]+) -> category names of its noun (verb) synsets
+        self.noun, self.verb = noun, verb
+        # marshal.dumps((noun, verb)) of the maps of every other lemma
+        self.other_lemmas = other_lemmas
+        self.lemma_count = lemma_count  # noun and verb lemmas of both shapes
+        self.synset_count, self.version = synset_count, version
+
+    def astuple(self) -> tuple:
+        """The six constructor arguments, in order: what equality compares
+        and what the cache stores."""
+        return (self.noun, self.verb, self.other_lemmas, self.lemma_count,
+                self.synset_count, self.version)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is WordNetDb and self.astuple() == other.astuple()
 
     @cached_property
     def other_maps(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
@@ -315,8 +321,7 @@ def _read_cache(path: Path, key: bytes) -> WordNetDb | None:
             and isinstance(other_lemmas, bytes) and type(lemma_count) is int
             and type(synset_count) is int and isinstance(version, str)):
         return None
-    return WordNetDb(noun=noun, verb=verb, other_lemmas=other_lemmas,
-                     lemma_count=lemma_count, synset_count=synset_count, version=version)
+    return WordNetDb(*value)
 
 
 def _write_cache(path: Path, key: bytes, source: Path, db: WordNetDb) -> None:
@@ -329,8 +334,7 @@ def _write_cache(path: Path, key: bytes, source: Path, db: WordNetDb) -> None:
         with os.fdopen(fd, "wb") as f:
             # marshal writes each shared category set once and loads it back
             # shared; the other lemmas' maps are already marshalled bytes
-            payload = marshal.dumps((db.noun, db.verb, db.other_lemmas, db.lemma_count,
-                                     db.synset_count, db.version))
+            payload = marshal.dumps(db.astuple())
             recorded = os.fsencode(source) + b"\0"
             digest = hashlib.sha256(recorded)
             digest.update(payload)

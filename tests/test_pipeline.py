@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termsift import corpus as corpus_io
-from termsift import pipeline, porter, wordnet
+from termsift import pipeline, porter, weighting, wordnet
 from termsift.corpus import StopwordList, load_corpus
 from termsift.pipeline import PipelineConfig, extract_terms, run_chain, run_pipeline
 
@@ -361,3 +361,27 @@ class TestDeterminism:
             outputs.append(self.read_all(out))
         assert outputs[0] == outputs[1]
         assert ("lexical_categories.tsv" in outputs[0]) == (policy != "off")
+
+
+class TestRecords:
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # termsift is started once per corpus and setting, so its import is a
+        # cost of every run: dataclasses alone pulls in inspect, ast and dis
+        src = Path(pipeline.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; before = set(sys.modules); import termsift.cli; "
+             "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []
+
+    @pytest.mark.parametrize("record, field", [
+        (PipelineConfig(corpus_path="corpus"), "min_count"),
+        (weighting.KeyTermSet("tfidf", 0.1, "max", frozenset({"wheat"}), 3), "terms"),
+        (wordnet.LexEntry("wheat", frozenset({"noun.plant"})), "categories"),
+    ])
+    def test_records_are_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        assert record._replace(**{field: None})._asdict()[field] is None

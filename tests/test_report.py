@@ -1,5 +1,6 @@
+import csv
+import io
 import json
-from dataclasses import asdict
 
 import pytest
 
@@ -34,7 +35,7 @@ class TestPlainText:
 class TestRoundTrip:
     def test_json(self):
         doc = json.loads(render_tables(ROWS, STATS, "json"))
-        assert doc == {"stats": [asdict(s) for s in STATS], "rows": [asdict(r) for r in ROWS]}
+        assert doc == {"stats": [s._asdict() for s in STATS], "rows": [r._asdict() for r in ROWS]}
 
     def test_csv(self):
         assert render_tables(ROWS, STATS, "csv") == (
@@ -50,6 +51,28 @@ class TestRoundTrip:
         awkward = [ReductionRow("d", "tfidf", 0.1 + 0.2, 10, 5, "50.00")]
         record = render_tables(awkward, [], "csv").splitlines()[1].split(",")
         assert float(record[7]) == 0.1 + 0.2  # bit-exact, not 0.3
+
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines", 'all,"\n" of, them'])
+    def test_csv_quotes_a_dataset_name_as_the_csv_module_does(self, name):
+        stats = [STATS[0]._replace(name=name)]
+        rows = [r._replace(dataset=name) for r in ROWS]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(render_tables([], [], "csv").rstrip("\n").split(","))
+        writer.writerows(
+            [["stats", s.name, s.documents, s.classes, s.largest_class, s.avg_doc_length,
+              "", "", "", "", ""] for s in stats]
+            + [["reduction", r.dataset, "", "", "", "", r.scheme,
+                "" if r.threshold is None else repr(r.threshold),
+                r.term_count, r.key_term_count, r.removed_pct] for r in rows])
+        assert render_tables(rows, stats, "csv") == buf.getvalue()
+
+    def test_csv_quotes_a_carriage_return(self):
+        # csv.writer with lineterminator="\n" leaves a lone CR bare, and its own
+        # reader then splits the record there; the report quotes it (RFC 4180)
+        text = render_tables([], [STATS[0]._replace(name="a\rb")], "csv")
+        assert text.endswith('\nstats,"a\rb",20,2,12,104,,,,,\n')
+        assert list(csv.reader(io.StringIO(text, newline="")))[1][:2] == ["stats", "a\rb"]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -68,4 +91,4 @@ class TestMetadata:
         assert doc["stopword_count"] == 574
         assert doc["wordnet_version"] == "2.1"
         assert doc["alpha"] == 0.028
-        assert set(doc) == set(meta.__dataclass_fields__)
+        assert set(doc) == set(meta._fields)

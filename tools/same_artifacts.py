@@ -1,5 +1,5 @@
-"""Check that ``termsift select``, ``weigh``, ``stats``, ``preprocess`` and ``lex``
-write byte-identical artifacts and output in two trees.
+"""Check that ``termsift select``, ``weigh``, ``stats``, ``preprocess``, ``lex`` and
+``stem`` write byte-identical artifacts and output in two trees.
 
     python3 tools/same_artifacts.py OLD_TREE
 
@@ -34,6 +34,10 @@ always differs. The cases:
   lemmas from its ``lemmas.tsv`` (which lists only those), 12 ``_``
   collocation fillers from each of its two index files, and two words it
   does not hold
+- ``select`` on the minicorpus through a symlink whose name holds a comma
+  and a double quote, so the reports quote the dataset name
+- ``stem`` on a few words, and ``stem`` on a word that is not alphabetic
+  (a usage error, exit 1)
 - ``select`` on corpora that must fail: a manifest line with two fields,
   a manifest naming a missing document, a duplicate doc id, an empty
   corpus, and a document that is a symlink out of the corpus root
@@ -166,6 +170,12 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
             found.append((f"{name} seed {SEED}, lex of lemmas and collocations",
                           ["lex", *generated_lex_words(wordnet_dir),
                            "--wordnet-dir", str(wordnet_dir)]))
+    quoted = work / 'mini,"corpus"'
+    quoted.symlink_to(mini, target_is_directory=True)
+    found.append(("minicorpus through a symlink named with a comma and a quote",
+                  ["select", str(quoted), *base[2:], "--wordnet-policy", "off"]))
+    found.append(("stem", ["stem", "running", "ponies", "Caresses", "generalizations"]))
+    found.append(("stem of a word that is not alphabetic", ["stem", "running", "x-ray"]))
     for name, (root, layout) in failing_corpora(work).items():
         found.append((f"select fails on {name}",
                       ["select", str(root), "--layout", layout, "--wordnet-policy", "off",
