@@ -28,7 +28,7 @@ from termsift import corpus as corpus_io
 from termsift import weighting, wordnet
 from termsift.errors import TermsiftError
 from termsift.pipeline import (
-    LOG_BASES, WORDNET_POLICIES, PipelineConfig, export_weights, run_chain, run_pipeline,
+    LOG_BASES, WORDNET_POLICIES, PipelineConfig, run_chain, run_pipeline, run_weigh,
 )
 from termsift.porter import stem as porter_stem
 
@@ -187,10 +187,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_weigh(args) -> int:
-    config = _resolve_config(args)
-    result = run_chain(config, last_step=6, schemes=(args.scheme,))
-    paths = export_weights(Path(config.out_dir), result.matrices, config.matrix_format)
-    print(paths[f"matrix_{args.scheme}"])
+    print(run_weigh(_resolve_config(args), args.scheme))
     return EXIT_OK
 
 

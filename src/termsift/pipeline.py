@@ -6,9 +6,10 @@ stopwords, (3) Porter-stem, (4) WordNet category annotation (skippable),
 (7) threshold selection. Each stage is logged, so a run's log shows the
 seven steps in order.
 
-``extract_terms`` (steps 1-3), ``build_vocabulary`` (4-5), ``compute_weights``
-(6) and ``select_terms`` (7) run in sequence under ``run_chain``, which
-every CLI subcommand that reads a corpus calls for a prefix of the chain.
+``extract_terms`` (steps 1-3) and ``build_vocabulary`` (4-5) run in sequence
+under ``run_chain``, which every CLI subcommand that reads a corpus calls for a
+prefix of the chain. ``weigh_schemes`` then takes one scheme at a time through
+steps 6-7 and its export, so only one weight matrix exists at a time.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ class PipelineResult:
                  db: wordnet.WordNetDb | None = None):
         self.stats, self.stopwords, self.db = stats, stopwords, db
         self.terms: TermVectors | None = None  # kept only when the chain ends at step 3
+        self.index: weighting.CorpusIndex | None = None  # kept until steps 6-7 read it
         self.annotations: dict[str, wordnet.LexEntry] = {}
-        self.matrices: dict[str, weighting.WeightMatrix] = {}
         self.key_terms: dict[str, weighting.KeyTermSet] = {}  # per scheme
         self.joint: weighting.KeyTermSet | None = None
         self.rows: list[report_mod.ReductionRow] = []
@@ -165,36 +166,10 @@ def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: P
     return index, annotations
 
 
-def compute_weights(index: weighting.CorpusIndex, config: PipelineConfig,
-                    schemes=weighting.SCHEMES) -> dict[str, weighting.WeightMatrix]:
-    """Step 6: one weight matrix per requested scheme."""
-    if schemes == weighting.SCHEMES:
-        log.info("step 6/7: computing tf-idf, tf-df and tf2 weight matrices")
-    else:
-        log.info(f"step 6/7: computing the {', '.join(schemes)} weight matrix")
-    base = LOG_BASES[config.log_base]
-    with _stage_errors("compute_matrices"):
-        return {s: weighting.compute_matrix(index, s, log_base=base) for s in schemes}
-
-
-def select_terms(matrices: dict[str, weighting.WeightMatrix], config: PipelineConfig
-                 ) -> tuple[dict[str, weighting.KeyTermSet], weighting.KeyTermSet]:
-    """Step 7: key terms per scheme against its threshold, and the joint set."""
-    log.info("step 7/7: selecting key terms against the thresholds")
-    thresholds = weighting.Thresholds(config.alpha, config.beta, config.gamma)
-    agg = config.aggregation
-    key_terms = {
-        s: weighting.select_key_terms(m, thresholds.for_scheme(s), agg)
-        for s, m in matrices.items()
-    }
-    return key_terms, weighting.select_joint(key_terms)
-
-
-def run_chain(config: PipelineConfig, last_step: int = 7,
-              schemes=weighting.SCHEMES) -> PipelineResult:
+def run_chain(config: PipelineConfig, last_step: int = 5) -> PipelineResult:
     """Validate ``config`` and run the chain through ``last_step``: 1 (the corpus
-    summary's token counts), 3, 6 or 7. A prefix loads only the inputs it uses;
-    ``schemes`` limits step 6 to the matrices a caller exports."""
+    summary's token counts), 3 (the term vectors) or 5 (the floored index that
+    ``weigh_schemes`` reads). A prefix loads only the inputs it uses."""
     config.validate()
     with _stage_errors("load_corpus"):
         corpus = corpus_io.load_corpus(config.corpus_path, config.layout)
@@ -212,9 +187,7 @@ def run_chain(config: PipelineConfig, last_step: int = 7,
     log.info("loaded corpus %s: %d documents; stopword list: %d words",
              name, len(corpus), len(stopwords))
     db = None
-    # a prefix ending at step 6 drops the annotations, so only a filter needs WordNet there
-    if (last_step == 7 and config.wordnet_policy != "off"
-            or last_step == 6 and config.wordnet_policy == "filter-nonwordnet"):
+    if last_step == 5 and config.wordnet_policy != "off":
         if config.wordnet_dir is None:
             log.warning("no WordNet directory configured; step 4 will be skipped "
                         "(wordnet-policy is effectively 'off')")
@@ -227,53 +200,103 @@ def run_chain(config: PipelineConfig, last_step: int = 7,
     terms = extract_terms(corpus, stopwords)
     result = PipelineResult(stats=corpus_io.corpus_summary(name, corpus, terms.token_counts),
                             stopwords=stopwords, db=db)
-    del corpus  # steps 4-7 read no document
+    del corpus  # steps 4-5 read no document
     if last_step == 3:
         result.terms = terms
-        return result
-    index, result.annotations = build_vocabulary(terms, db, config)
-    del terms  # the floored index replaces the step-3 vectors and surface map
-    result.matrices = compute_weights(index, config, schemes)
-    del index  # the matrices share its id rows; nothing reads its TF rows again
-    if last_step == 6:
-        return result
-    result.key_terms, result.joint = select_terms(result.matrices, config)
+    else:
+        result.index, result.annotations = build_vocabulary(terms, db, config)
     return result
 
 
+def weigh_schemes(index: weighting.CorpusIndex, config: PipelineConfig,
+                  schemes: tuple[str, ...] = weighting.SCHEMES, select: bool = False
+                  ) -> tuple[dict[str, weighting.KeyTermSet], dict[str, Path]]:
+    """Steps 6-7 and the matrix exports, one scheme at a time: compute its matrix,
+    with ``select`` pick its key terms against its threshold, export it to
+    ``matrix_<scheme>.<ext>`` (restricted to those key terms), and drop it before
+    the next scheme's matrix is built. Returns the key-term sets and the paths."""
+    if schemes == weighting.SCHEMES:
+        log.info("step 6/7: computing tf-idf, tf-df and tf2 weight matrices")
+    else:
+        log.info(f"step 6/7: computing the {', '.join(schemes)} weight matrix")
+    if select:
+        log.info("step 7/7: selecting key terms against the thresholds")
+    thresholds = weighting.Thresholds(config.alpha, config.beta, config.gamma)
+    base = LOG_BASES[config.log_base]
+    out_dir = Path(config.out_dir)
+    ext = "csv" if config.matrix_format == "csv" else "triplets"
+    key_terms: dict[str, weighting.KeyTermSet] = {}
+    paths: dict[str, Path] = {}
+    for scheme in schemes:
+        with _stage_errors("compute_matrices"):
+            matrix = weighting.compute_matrix(index, scheme, log_base=base)
+        if select:
+            key_terms[scheme] = weighting.select_key_terms(
+                matrix, thresholds.for_scheme(scheme), config.aggregation)
+        path = paths[f"matrix_{scheme}"] = out_dir / f"matrix_{scheme}.{ext}"
+        with _stage_errors("write_outputs"):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            weighting.export_matrix(matrix, path, fmt=config.matrix_format,
+                                    key_terms=key_terms.get(scheme))
+        del matrix  # before the next scheme's matrix is built
+    return key_terms, paths
+
+
+def run_weigh(config: PipelineConfig, scheme: str) -> Path:
+    """Steps 1-6 for one scheme and its whole matrix's export; returns the file.
+
+    No annotation reaches a matrix, so ``annotate-only`` runs as ``off``, and
+    WordNet is loaded only to filter."""
+    if config.wordnet_policy == "annotate-only":
+        config = config._replace(wordnet_policy="off")
+    _, paths = weigh_schemes(run_chain(config).index, config, (scheme,))
+    return paths[f"matrix_{scheme}"]
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """The whole chain, then the reduction reports and every artifact in ``out_dir``."""
+    """The whole chain, then the reduction reports and every artifact in ``out_dir``:
+    the matrices, then the reports and lists, and ``metadata.json`` last."""
     result = run_chain(config)
+    result.key_terms, result.artifacts = weigh_schemes(result.index, config, select=True)
+    result.index = None  # nothing after step 7 reads it
+    result.joint = weighting.select_joint(result.key_terms)
     result.rows = [
         report_mod.ReductionRow(result.stats.name, kd.scheme, kd.threshold, kd.vocabulary_size,
                                 len(kd.terms), kd.removed_pct)
         for kd in [*result.key_terms.values(), result.joint]
     ]
     with _stage_errors("write_outputs"):
-        result.artifacts = _write_outputs(config, result)
+        result.artifacts.update(_write_outputs(config, result))
     return result
 
 
-def export_weights(out_dir: Path, matrices: dict[str, weighting.WeightMatrix], fmt: str,
-                   key_terms: dict[str, weighting.KeyTermSet] | None = None) -> dict[str, Path]:
-    """Write ``matrix_<scheme>.<ext>`` per matrix, restricted to ``key_terms`` if given."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ext = "csv" if fmt == "csv" else "triplets"
-    artifacts: dict[str, Path] = {}
-    for scheme, matrix in matrices.items():
-        path = out_dir / f"matrix_{scheme}.{ext}"
-        weighting.export_matrix(matrix, path, fmt=fmt,
-                                key_terms=None if key_terms is None else key_terms[scheme])
-        artifacts[f"matrix_{scheme}"] = path
-    return artifacts
-
-
 def _write_outputs(config: PipelineConfig, result: PipelineResult) -> dict[str, Path]:
+    """Every artifact but the matrices, each through a temporary file renamed into
+    place; ``metadata.json`` goes last, so no run that failed before it has one."""
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stopwords, db = result.stopwords, result.db
     artifacts: dict[str, Path] = {}
-    # metadata goes first: no report counts as final without it
+
+    def write(key: str, filename: str, text: str) -> None:
+        path = artifacts[key] = out_dir / filename
+        with weighting._replacing(path) as f:
+            f.write(text)
+
+    for fmt, filename in (("plain-text", "report.txt"), ("csv", "report.csv"),
+                          ("json", "report.json")):
+        write(filename, filename, report_mod.render_tables(result.rows, [result.stats], fmt))
+
+    for kd in [*result.key_terms.values(), result.joint]:
+        write(f"keyterms_{kd.scheme}", f"keyterms_{kd.scheme}.txt",
+              "\n".join(sorted(kd.terms)) + "\n")
+
+    if result.annotations:
+        lines = [
+            f"{term}\t{','.join(sorted(entry.categories)) or '-'}"
+            for term, entry in sorted(result.annotations.items())
+        ]
+        write("lexical_categories", "lexical_categories.tsv", "\n".join(lines) + "\n")
+
+    stopwords, db = result.stopwords, result.db
     meta = report_mod.RunMetadata(
         stopword_count=len(stopwords),
         stopword_sha256=stopwords.sha256,
@@ -288,31 +311,5 @@ def _write_outputs(config: PipelineConfig, result: PipelineResult) -> dict[str, 
         tool_version=__version__,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
-    meta_path = out_dir / "metadata.json"
-    meta_path.write_text(report_mod.emit_metadata(meta), encoding="utf-8")
-    artifacts["metadata"] = meta_path
-
-    for fmt, filename in (("plain-text", "report.txt"), ("csv", "report.csv"),
-                          ("json", "report.json")):
-        path = out_dir / filename
-        path.write_text(report_mod.render_tables(result.rows, [result.stats], fmt),
-                        encoding="utf-8")
-        artifacts[filename] = path
-
-    artifacts.update(export_weights(out_dir, result.matrices, config.matrix_format,
-                                    key_terms=result.key_terms))
-
-    for kd in [*result.key_terms.values(), result.joint]:
-        path = out_dir / f"keyterms_{kd.scheme}.txt"
-        path.write_text("\n".join(sorted(kd.terms)) + "\n", encoding="utf-8")
-        artifacts[f"keyterms_{kd.scheme}"] = path
-
-    if result.annotations:
-        path = out_dir / "lexical_categories.tsv"
-        lines = [
-            f"{term}\t{','.join(sorted(entry.categories)) or '-'}"
-            for term, entry in sorted(result.annotations.items())
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        artifacts["lexical_categories"] = path
+    write("metadata", "metadata.json", report_mod.emit_metadata(meta))
     return artifacts

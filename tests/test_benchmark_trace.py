@@ -23,3 +23,6 @@ def test_traced_select_measures_its_layers(tmp_path, minicorpus_dir):
     assert metrics["corpus.documents"] == 20
     assert metrics["weighting.cells"] > 0
     assert metrics["porter.calls_per_type"] == 1.0
+    # one index, and one selection pass per scheme
+    assert metrics["weighting.index_calls"] == 1
+    assert metrics["weighting.aggregation_passes"] == 3

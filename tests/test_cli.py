@@ -420,6 +420,49 @@ class TestSelect:
                           )["aggregation"] == "max"
 
 
+class TestWriteFailures:
+    @pytest.mark.parametrize("command", ["weigh", "select"])
+    def test_out_that_is_a_file_names_the_write_stage(self, capsys, corpus, tmp_path, command):
+        out_file = tmp_path / "out"
+        out_file.write_text("not a directory\n")
+        code, out, err = run(capsys, command, str(corpus), "--layout", "class-subdirectories",
+                             "--wordnet-policy", "off", "--out", str(out_file))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == ("termsift: error: stage write_outputs: [Errno 17] File exists: "
+                       f"'{out_file}'\n")
+        assert out_file.read_text() == "not a directory\n"
+
+    def test_failed_export_leaves_no_metadata_report_or_temporary_file(self, capsys, corpus,
+                                                                       tmp_path, monkeypatch):
+        from termsift import weighting
+
+        class FullDisk:
+            """Weight rows that fail once the first document's row is read."""
+
+            def __init__(self, rows):
+                self.rows = rows
+
+            def __iter__(self):
+                yield self.rows[0]
+                raise OSError(28, "No space left on device")
+
+        export = weighting.export_matrix
+
+        def failing_export(matrix, *args, **kwargs):
+            if matrix.scheme == "tfdf":
+                matrix = matrix._replace(weights=FullDisk(matrix.weights))
+            return export(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(weighting, "export_matrix", failing_export)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "select", str(corpus), "--layout", "class-subdirectories",
+                             "--wordnet-policy", "off", "--out", str(out_dir))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == "termsift: error: stage write_outputs: [Errno 28] No space left on device\n"
+        # matrices are written first, metadata.json last
+        assert [p.name for p in out_dir.iterdir()] == ["matrix_tfidf.triplets"]
+
+
 class TestConfigFile:
     def test_flags_override_config(self, capsys, corpus, tmp_path, monkeypatch):
         monkeypatch.delenv("WNSEARCHDIR", raising=False)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from termsift import corpus as corpus_io
 from termsift import pipeline, porter, weighting, wordnet
 from termsift.corpus import StopwordList, load_corpus
-from termsift.pipeline import PipelineConfig, extract_terms, run_chain, run_pipeline
+from termsift.pipeline import (
+    PipelineConfig, extract_terms, run_chain, run_pipeline, run_weigh,
+)
 
 SW = StopwordList(words=frozenset({"the", "of", "and", "a", "is"}))
 
@@ -34,6 +37,20 @@ def corpus(tmp_path):
     for i, text in enumerate(texts):
         (root / f"doc{i}.txt").write_text(text)
     return root
+
+
+@pytest.fixture()
+def computed(monkeypatch):
+    """Every matrix ``weighting.compute_matrix`` returns during the test, in order."""
+    matrices = []
+    compute = weighting.compute_matrix
+
+    def spy(*args, **kwargs):
+        matrices.append(compute(*args, **kwargs))
+        return matrices[-1]
+
+    monkeypatch.setattr(weighting, "compute_matrix", spy)
+    return matrices
 
 
 def config_for(corpus, tmp_path, **kw):
@@ -197,18 +214,18 @@ class TestRunChain:
         assert run_chain(config, last_step=1).stats == run_pipeline(config).stats
 
     def test_step_six_loads_wordnet_only_to_filter(self, corpus, tmp_path, wordnet_dir,
-                                                   monkeypatch):
+                                                   monkeypatch, computed):
         def unused(*_):
             raise AssertionError("loaded WordNet for annotations step 6 drops")
 
         config = config_for(corpus, tmp_path, wordnet_dir=str(wordnet_dir),
                             wordnet_policy="annotate-only")
-        annotated = run_chain(config, last_step=7)
+        annotated = run_pipeline(config)
         assert annotated.db is not None and annotated.annotations
         monkeypatch.setattr(wordnet, "load_wordnet", unused)
-        result = run_chain(config, last_step=6)
-        assert result.db is None
-        assert result.matrices == annotated.matrices
+        for scheme in weighting.SCHEMES:
+            run_weigh(config, scheme)
+        assert computed[3:] == computed[:3]
 
     def test_stage_prefix_keeps_type_and_cause_of_errno_oserror(self, corpus, tmp_path,
                                                                monkeypatch):
@@ -225,18 +242,65 @@ class TestRunChain:
 
     @pytest.mark.parametrize("log_base", ["2", "10"])
     def test_log_base_divides_tfidf_and_tf2_by_its_natural_log(self, corpus, tmp_path,
-                                                              log_base):
-        natural = run_chain(config_for(corpus, tmp_path), last_step=6).matrices
-        result = run_chain(config_for(corpus, tmp_path, log_base=log_base), last_step=6)
-        for s, matrix in result.matrices.items():
-            divisor = 1.0 if s == "tfdf" else math.log(float(log_base))
-            for ws, natural_ws in zip(matrix.weights, natural[s].weights, strict=True):
+                                                              computed, log_base):
+        run_pipeline(config_for(corpus, tmp_path))
+        run_pipeline(config_for(corpus, tmp_path, log_base=log_base))
+        natural, result = computed[:3], computed[3:]
+        for matrix, natural_matrix in zip(result, natural, strict=True):
+            divisor = 1.0 if matrix.scheme == "tfdf" else math.log(float(log_base))
+            for ws, natural_ws in zip(matrix.weights, natural_matrix.weights, strict=True):
                 assert ws == pytest.approx([w / divisor for w in natural_ws], rel=1e-12)
 
-    def test_step_six_computes_only_the_requested_schemes(self, corpus, tmp_path):
-        result = run_chain(config_for(corpus, tmp_path), last_step=6, schemes=("tf2",))
-        assert list(result.matrices) == ["tf2"]
-        assert not result.key_terms and not (tmp_path / "out").exists()
+    def test_step_six_computes_only_the_requested_schemes(self, corpus, tmp_path,
+                                                          monkeypatch, computed):
+        def unused(*_):
+            raise AssertionError("selected key terms for weigh")
+
+        monkeypatch.setattr(weighting, "select_key_terms", unused)
+        path = run_weigh(config_for(corpus, tmp_path), "tf2")
+        assert [m.scheme for m in computed] == ["tf2"]
+        assert list((tmp_path / "out").iterdir()) == [path]
+        assert path.name == "matrix_tf2.triplets"
+
+
+class TestOneSchemeAtATime:
+    """Steps 6-7 take each scheme through compute, select and export before the next."""
+
+    def test_each_scheme_is_exported_and_dropped_before_the_next(self, corpus, tmp_path,
+                                                                 monkeypatch):
+        calls, rows, held = [], [], []
+        compute, select = weighting.compute_matrix, weighting.select_key_terms
+        export = weighting.export_matrix
+
+        def spy_compute(index, scheme, **kw):
+            held.append(sum(row() is not None for row in rows))
+            calls.append(("compute", scheme))
+            matrix = compute(index, scheme, **kw)
+            rows.append(weakref.ref(matrix.weights[0]))
+            return matrix
+
+        def spy_select(matrix, *args):
+            calls.append(("select", matrix.scheme))
+            return select(matrix, *args)
+
+        def spy_export(matrix, *args, **kw):
+            calls.append(("export", matrix.scheme))
+            return export(matrix, *args, **kw)
+
+        monkeypatch.setattr(weighting, "compute_matrix", spy_compute)
+        monkeypatch.setattr(weighting, "select_key_terms", spy_select)
+        monkeypatch.setattr(weighting, "export_matrix", spy_export)
+        run_pipeline(config_for(corpus, tmp_path))
+        assert calls == [(step, scheme) for scheme in ("tfidf", "tfdf", "tf2")
+                         for step in ("compute", "select", "export")]
+        assert held == [0, 0, 0]  # no earlier matrix is alive when the next is built
+        assert all(row() is None for row in rows)
+
+    def test_pipeline_result_holds_no_matrix_and_no_index(self, corpus, tmp_path):
+        result = run_pipeline(config_for(corpus, tmp_path))
+        assert result.index is None
+        assert not any(isinstance(value, (weighting.WeightMatrix, weighting.CorpusIndex))
+                       for value in vars(result).values())
 
 
 class TestStageLog:
