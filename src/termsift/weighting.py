@@ -274,6 +274,7 @@ def export_matrix(
     """Write the matrix as dense CSV or sparse ``doc_id,term,weight`` triplets.
 
     With ``key_terms`` the columns are restricted to the selected terms.
+    Triplets are one line per kept cell, so a matrix with none is an empty file.
     Weights print with 10 significant digits, dot decimal separator. A
     document id holding a comma, double quote or line break is quoted the
     RFC 4180 way; terms are letters only, so they never need it.
@@ -310,13 +311,7 @@ def export_matrix(
                         else ",".join([doc_id, *cells]) + "\n")
         else:
             kept = set(keep)
-            written = False
             for doc_id, ids, ws in rows:
-                lines = [f"{doc_id},{vocabulary[j]},{w:.10g}\n"
-                         for j, w in zip(ids, ws) if j in kept]
-                if lines:
-                    f.write("".join(lines))
-                    written = True
-            if not written:
-                f.write("\n")  # a file with no triplet is one empty line
+                f.write("".join([f"{doc_id},{vocabulary[j]},{w:.10g}\n"
+                                 for j, w in zip(ids, ws) if j in kept]))
     return out

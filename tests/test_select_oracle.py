@@ -8,10 +8,11 @@ tolerance, skipping only the terms the oracle itself marks borderline.
 Drawn: the ``class-subdirectories`` and ``manifest-file`` layouts, ``max``
 and ``mean`` aggregation, ``--min-count`` 1-3, log bases e, 2 and 10,
 both export formats and the three WordNet policies, against the
-``tests/wn_fixture.py`` database. Left out: the ``flat`` layout, whose
-documents have no class, which the oracle's statistics cannot express,
-and thresholds under which a scheme keeps no term (see
-``test_select_agrees_with_the_oracle``).
+``tests/wn_fixture.py`` database. Under triplet export a scheme's
+threshold may also lie above all its aggregates, so that it keeps no
+term. Left out: the ``flat`` layout, whose documents have no class,
+which the oracle's statistics cannot express, and the dense CSV of a
+scheme that keeps no term (see ``test_select_agrees_with_the_oracle``).
 """
 
 import functools
@@ -82,17 +83,29 @@ def write_corpus(root: Path, layout: str, docs: list[list[str]], classes: int) -
     return tokens_path
 
 
-def between_aggregates(exp: "oracle.Expected", scheme: str, aggregation: str,
-                       divisor: float) -> list[float]:
-    """Thresholds strictly between the scheme's distinct per-term aggregates
-    (weights divided by ``divisor``), or below the least: each keeps a term."""
+def aggregates(exp: "oracle.Expected", scheme: str, aggregation: str,
+               divisor: float) -> list[float]:
+    """The scheme's distinct per-term aggregates (weights divided by ``divisor``), sorted."""
     per_term: dict[str, list[float]] = {}
     for row in exp.weights[scheme]:
         for term, w in row.items():
             per_term.setdefault(term, []).append(w / divisor)
-    values = sorted({max(ws) if aggregation == "max" else sum(ws) / len(ws)
-                     for ws in per_term.values()})
+    return sorted({max(ws) if aggregation == "max" else sum(ws) / len(ws)
+                   for ws in per_term.values()})
+
+
+def between_aggregates(exp: "oracle.Expected", scheme: str, aggregation: str,
+                       divisor: float) -> list[float]:
+    """Thresholds strictly between the scheme's distinct per-term aggregates,
+    or below the least: each keeps a term."""
+    values = aggregates(exp, scheme, aggregation, divisor)
     return [values[0] / 2] + [(a + b) / 2 for a, b in zip(values, values[1:])]
+
+
+def above_aggregates(exp: "oracle.Expected", scheme: str, aggregation: str,
+                     divisor: float) -> float:
+    """A threshold above every per-term aggregate of the scheme: it keeps no term."""
+    return 2 * aggregates(exp, scheme, aggregation, divisor)[-1] + 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,16 +136,17 @@ def test_select_agrees_with_the_oracle(lemmas_path, wordnet_dir, data, layout, a
         natural = oracle.expected(tokens, dict.fromkeys(oracle.SCHEMES, 0.0), aggregation,
                                   min_count, lemmas)
         assume(natural.vocabulary)
-        # Thresholds between the oracle's own aggregates: no term sits on one, and
-        # every scheme keeps a term. An empty key set would hit two open
-        # disagreements between the oracle and the program's documented output:
-        # check_dense expects the header "doc_id," where the program writes
-        # "doc_id", and check_triplets expects an empty file where it writes "\n".
+        # Thresholds between the oracle's own aggregates, so no term sits on one.
+        # Under triplet export one may lie above them all and keep no term. The
+        # dense CSV of an empty key set is left out: check_dense expects the
+        # header "doc_id," where the program writes "doc_id".
         thresholds = {}
         for s in oracle.SCHEMES:
             divisor = 1.0 if s == "tfdf" else ln_b
-            thresholds[s] = data.draw(st.sampled_from(
-                between_aggregates(natural, s, aggregation, divisor)))
+            choices = between_aggregates(natural, s, aggregation, divisor)
+            if fmt == "coordinate-triplet":
+                choices.append(above_aggregates(natural, s, aggregation, divisor))
+            thresholds[s] = data.draw(st.sampled_from(choices))
         # the oracle uses the natural log: compare its weights in natural units,
         # then state them in the run's base for the export checks
         scaled = {s: t * (1.0 if s == "tfdf" else ln_b) for s, t in thresholds.items()}

@@ -497,7 +497,7 @@ class TestExport:
         assert path.read_text() == "doc_id\na\nb\n"  # a header as wide as its rows
         path = export_matrix(matrix, tmp_path / "m.triplets", fmt="coordinate-triplet",
                              key_terms=kd)
-        assert path.read_text() == "\n"
+        assert path.read_text() == ""  # no triplet, no line
 
     def test_key_term_restriction(self, tmp_path):
         matrix = compute_matrix(self.INDEX, "tfdf")

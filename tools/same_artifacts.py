@@ -15,7 +15,7 @@ always differs. The cases:
 - the same with ``--alpha 1e9 --beta 1e9 --gamma 1e9``, so no scheme
   keeps a term, once with ``--format csv`` and once with
   ``--format coordinate-triplet`` (CSVs of bare document ids under a
-  ``doc_id`` header, and triplet files holding one empty line)
+  ``doc_id`` header, and empty triplet files)
 - the same corpus with the ``tests/wn_fixture.py`` database under
   ``annotate-only``
 - the same database under ``filter-nonwordnet --min-count 2``
@@ -49,9 +49,10 @@ database runs twice in this checkout, first with an empty cache (the
 database is parsed and the cache written) and then with the cache
 warm, and both runs are compared with the old tree's.
 
-Prints one line per comparison and exits 1 at the first case that
-differs, naming the first file (or the exit code, output or error) that
-does; exits 0 when every case is identical.
+Prints one line per comparison, naming for each case that differs the
+first file (or the exit code, output or error) that does. Runs every
+case, then exits 1 with the count of differing comparisons, or 0 when
+every one is identical.
 """
 
 from __future__ import annotations
@@ -215,6 +216,7 @@ def main() -> int:
     if not (old_tree / "src" / "termsift" / "cli.py").is_file():
         print(f"same_artifacts: not a termsift checkout: {old_tree}", file=sys.stderr)
         return 2
+    compared = differing = 0
     with tempfile.TemporaryDirectory(prefix="same-artifacts-") as tmp:
         work = Path(tmp)
         for i, (name, args) in enumerate(cases(work)):
@@ -231,10 +233,15 @@ def main() -> int:
                 if (diff is None and cache_state == "cold cache"
                         and not any(p.is_file() for p in new_cache.rglob("*"))):
                     diff = "no WordNet cache written"
-                if diff is not None:
+                compared += 1
+                if diff is None:
+                    print(f"same: {label} (exit {new.returncode})")
+                else:
                     print(f"differs: {label}: {diff}")
-                    return 1
-                print(f"same: {label} (exit {new.returncode})")
+                    differing += 1
+    if differing:
+        print(f"{differing} of {compared} comparisons differ")
+        return 1
     return 0
 
 
