@@ -83,29 +83,19 @@ def write_corpus(root: Path, layout: str, docs: list[list[str]], classes: int) -
     return tokens_path
 
 
-def aggregates(exp: "oracle.Expected", scheme: str, aggregation: str,
-               divisor: float) -> list[float]:
-    """The scheme's distinct per-term aggregates (weights divided by ``divisor``), sorted."""
+def threshold_choices(exp: "oracle.Expected", scheme: str, aggregation: str,
+                      divisor: float, keep_none: bool) -> list[float]:
+    """Thresholds strictly between the scheme's distinct per-term aggregates
+    (weights divided by ``divisor``), or below the least: each keeps a term.
+    With ``keep_none``, also one above the greatest, which keeps no term."""
     per_term: dict[str, list[float]] = {}
     for row in exp.weights[scheme]:
         for term, w in row.items():
             per_term.setdefault(term, []).append(w / divisor)
-    return sorted({max(ws) if aggregation == "max" else sum(ws) / len(ws)
-                   for ws in per_term.values()})
-
-
-def between_aggregates(exp: "oracle.Expected", scheme: str, aggregation: str,
-                       divisor: float) -> list[float]:
-    """Thresholds strictly between the scheme's distinct per-term aggregates,
-    or below the least: each keeps a term."""
-    values = aggregates(exp, scheme, aggregation, divisor)
-    return [values[0] / 2] + [(a + b) / 2 for a, b in zip(values, values[1:])]
-
-
-def above_aggregates(exp: "oracle.Expected", scheme: str, aggregation: str,
-                     divisor: float) -> float:
-    """A threshold above every per-term aggregate of the scheme: it keeps no term."""
-    return 2 * aggregates(exp, scheme, aggregation, divisor)[-1] + 1
+    values = sorted({max(ws) if aggregation == "max" else sum(ws) / len(ws)
+                     for ws in per_term.values()})
+    choices = [values[0] / 2] + [(a + b) / 2 for a, b in zip(values, values[1:])]
+    return choices + [2 * values[-1] + 1] if keep_none else choices
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,10 +133,8 @@ def test_select_agrees_with_the_oracle(lemmas_path, wordnet_dir, data, layout, a
         thresholds = {}
         for s in oracle.SCHEMES:
             divisor = 1.0 if s == "tfdf" else ln_b
-            choices = between_aggregates(natural, s, aggregation, divisor)
-            if fmt == "coordinate-triplet":
-                choices.append(above_aggregates(natural, s, aggregation, divisor))
-            thresholds[s] = data.draw(st.sampled_from(choices))
+            thresholds[s] = data.draw(st.sampled_from(threshold_choices(
+                natural, s, aggregation, divisor, keep_none=fmt == "coordinate-triplet")))
         # the oracle uses the natural log: compare its weights in natural units,
         # then state them in the run's base for the export checks
         scaled = {s: t * (1.0 if s == "tfdf" else ln_b) for s, t in thresholds.items()}
