@@ -106,6 +106,8 @@ def _scan_manifest(root: Path) -> Iterator[_Entry]:
                 f"{manifest}:{lineno}: expected 'doc_id<TAB>class<TAB>relative-path', got {line!r}"
             )
         doc_id, label, relpath = (p.strip() for p in parts)
+        if not doc_id:
+            raise CorpusFormatError(f"{manifest}:{lineno}: empty doc_id")
         yield doc_id, label or None, relpath, lineno
 
 

@@ -14,60 +14,40 @@ from __future__ import annotations
 
 __all__ = ["stem"]
 
-_VOWELS = "aeiou"
+# "v" for a, e, i, o and u, "c" for the other letters; _form settles each "y"
+_CLASSES = str.maketrans("abcdefghijklmnopqrstuvwxyz", "vcccvcccvcccccvcccccvcccyc")
 
 
-def _is_consonant(b: str, i: int) -> bool:
-    ch = b[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return i == 0 or not _is_consonant(b, i - 1)
-    return True
+def _form(s: str) -> str:
+    """The consonant/vowel form of ``s``: "c" or "v" per letter, where "y" is
+    a vowel after a consonant and a consonant anywhere else. A letter's class
+    depends only on the letters before it: a prefix's form is a prefix."""
+    form = s.translate(_CLASSES)
+    i = form.find("y")
+    while i >= 0:
+        form = form[:i] + ("v" if i and form[i - 1] == "c" else "c") + form[i + 1:]
+        i = form.find("y", i + 1)
+    return form
 
 
-def _measure(b: str, j: int) -> int:
-    """Number of vowel->consonant transitions in b[0..j] (the "m" value)."""
-    i = 0
-    while True:
-        if i > j:
-            return 0
-        if not _is_consonant(b, i):
-            break
-        i += 1
-    i += 1
-    n = 0
-    while True:
-        while True:
-            if i > j:
-                return n
-            if _is_consonant(b, i):
-                break
-            i += 1
-        i += 1
-        n += 1
-        while True:
-            if i > j:
-                return n
-            if not _is_consonant(b, i):
-                break
-            i += 1
-        i += 1
+def _measure(s: str) -> int:
+    """m, the number of VC sequences when ``s`` is read as [C](VC)^m[V]."""
+    return _form(s).count("vc")
 
 
-def _has_vowel(b: str, j: int) -> bool:
-    return any(not _is_consonant(b, i) for i in range(j + 1))
+def _has_vowel(s: str) -> bool:
+    """*v*: ``s`` holds a vowel."""
+    return "v" in _form(s)
 
 
-def _double_consonant(b: str, k: int) -> bool:
-    return k > 0 and b[k] == b[k - 1] and _is_consonant(b, k)
+def _ends_double_consonant(s: str) -> bool:
+    """*d: ``s`` ends in a doubled letter, the last one a consonant."""
+    return len(s) > 1 and s[-1] == s[-2] and _form(s)[-1] == "c"
 
 
-def _cvc(b: str, i: int) -> bool:
-    """consonant-vowel-consonant ending at i, last consonant not w, x or y."""
-    if i < 2 or not _is_consonant(b, i) or _is_consonant(b, i - 1) or not _is_consonant(b, i - 2):
-        return False
-    return b[i] not in "wxy"
+def _ends_cvc(s: str) -> bool:
+    """*o: ``s`` ends consonant-vowel-consonant, the last not w, x or y."""
+    return _form(s)[-3:] == "cvc" and s[-1] not in "wxy"
 
 
 def _step1ab(b: str) -> str:
@@ -79,24 +59,24 @@ def _step1ab(b: str) -> str:
         elif len(b) >= 2 and b[-2] != "s":
             b = b[:-1]
     if b.endswith("eed"):
-        if _measure(b, len(b) - 4) > 0:
+        if _measure(b[:-3]) > 0:
             b = b[:-1]
-    elif (b.endswith("ed") and _has_vowel(b, len(b) - 3)) or (
-        b.endswith("ing") and _has_vowel(b, len(b) - 4)
+    elif (b.endswith("ed") and _has_vowel(b[:-2])) or (
+        b.endswith("ing") and _has_vowel(b[:-3])
     ):
         b = b[:-2] if b.endswith("ed") else b[:-3]
         if b.endswith("at") or b.endswith("bl") or b.endswith("iz"):
             b += "e"
-        elif _double_consonant(b, len(b) - 1):
+        elif _ends_double_consonant(b):
             if b[-1] not in "lsz":
                 b = b[:-1]
-        elif _measure(b, len(b) - 1) == 1 and _cvc(b, len(b) - 1):
+        elif _measure(b) == 1 and _ends_cvc(b):
             b += "e"
     return b
 
 
 def _step1c(b: str) -> str:
-    if b.endswith("y") and _has_vowel(b, len(b) - 2):
+    if b.endswith("y") and _has_vowel(b[:-1]):
         b = b[:-1] + "i"
     return b
 
@@ -144,9 +124,9 @@ def _apply_rules(b: str, rules, min_measure: int) -> str:
     # measure 0 and is left alone).
     for suffix, replacement in rules:
         if b.endswith(suffix):
-            stem_len = len(b) - len(suffix)
-            if _measure(b, stem_len - 1) > min_measure:
-                b = b[:stem_len] + replacement
+            base = b[:-len(suffix)]
+            if _measure(base) > min_measure:
+                b = base + replacement
             break
     return b
 
@@ -171,25 +151,24 @@ def _step4(b: str) -> str:
         return b
     for suffix in suffixes:
         if b.endswith(suffix):
-            stem_len = len(b) - len(suffix)
-            if suffix == "ion" and b[stem_len - 1] not in "st":
+            base = b[:-len(suffix)]
+            if suffix == "ion" and not base.endswith(("s", "t")):
                 continue
-            if _measure(b, stem_len - 1) > 1:
-                b = b[:stem_len]
+            if _measure(base) > 1:
+                b = base
             break
     return b
 
 
 def _step5(b: str) -> str:
-    k = len(b) - 1
-    j = k
-    if b[k] == "e":
-        m = _measure(b, j)
-        if m > 1 or (m == 1 and not _cvc(b, k - 1)):
-            k -= 1
-    if b[k] == "l" and _double_consonant(b, k) and _measure(b, j) > 1:
-        k -= 1
-    return b[: k + 1]
+    if b.endswith("e"):
+        m = _measure(b)
+        if m > 1 or (m == 1 and not _ends_cvc(b[:-1])):
+            b = b[:-1]
+    # a dropped final "e" was a vowel, which ends no VC, so m is unchanged
+    if b.endswith("ll") and _measure(b) > 1:
+        b = b[:-1]
+    return b
 
 
 def stem(word: str) -> str:

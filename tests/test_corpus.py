@@ -85,6 +85,20 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError):
             load_corpus(tmp_path, "manifest-file")
 
+    @pytest.mark.parametrize("doc_id", ["", "  "], ids=["empty", "spaces"])
+    def test_manifest_empty_doc_id(self, tmp_path, doc_id):
+        write(tmp_path / "a.txt", "wheat")
+        manifest = tmp_path / "manifest.tsv"
+        write(manifest, f"d\tc\ta.txt\n{doc_id}\tc1\ta.txt\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(tmp_path, "manifest-file")
+        assert str(exc.value) == f"{manifest}:2: empty doc_id"
+
+    def test_manifest_empty_class_is_no_class(self, tmp_path):
+        write(tmp_path / "a.txt", "wheat")
+        write(tmp_path / "manifest.tsv", "d\t\ta.txt\n")
+        assert load_corpus(tmp_path, "manifest-file")[0].class_label is None
+
     @pytest.mark.parametrize("case", ["relative", "absolute", "symlink", "fifo", "directory"])
     def test_manifest_document_is_checked_before_it_is_opened(self, tmp_path, monkeypatch,
                                                               case):
@@ -234,6 +248,7 @@ class TestLoadCorpusFuzz:
             assert len(result) > 0
             real_root = os.path.join(os.path.realpath(root), "")
             for d in result:
+                assert d.doc_id
                 # checked before any read: a FIFO would block the read below
                 assert d.path.startswith(real_root) and os.path.isfile(d.path)
                 assert d.read() != "outside text"

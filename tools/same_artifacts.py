@@ -38,6 +38,9 @@ always differs. The cases:
   and a double quote, so the reports quote the dataset name
 - ``stem`` on a few words, and ``stem`` on a word that is not alphabetic
   (a usage error, exit 1)
+- ``stem`` on 3,000 seeded generated words that the stemmer fixture does
+  not hold, ``y``-heavy and each ending in a Porter suffix (``-ational``,
+  ``-ies``, ``-ing``, ``-ed``, ``-ness``, ``-ion``, ``-e`` or ``-ll``)
 - ``select`` on corpora that must fail: a manifest line with two fields,
   a manifest naming a missing document, a duplicate doc id, an empty
   corpus, and a document that is a symlink out of the corpus root
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -73,6 +77,7 @@ from wn_fixture import SYNSETS, build_wordnet_dir  # noqa: E402
 SEED = 301
 EXEMPT = {"metadata.json"}
 LEX_SAMPLE = 12  # lemmas of each kind taken from the wordnet-short database
+STEM_WORDS = 3000  # generated words the seeded ``stem`` case stems
 
 
 def spread(items: list[str], n: int) -> list[str]:
@@ -91,6 +96,24 @@ def generated_lex_words(wordnet_dir: Path) -> list[str]:
                        if not line.startswith(" ") and "_" in line.split(" ", 1)[0]]
         words += spread(fillers, LEX_SAMPLE)
     return words + ["zzyzx", "zzyzx_qq"]
+
+
+def generated_stem_words() -> list[str]:
+    """Seeded words outside the stemmer fixture, every fixture word being
+    pinned already by the acceptance gate. Many ``y``s and vowels make the
+    ``y`` rule decide the stemmer's conditions often, and each word ends in
+    a suffix that one of Porter's steps strips or rewrites."""
+    with (ROOT / "tests" / "fixtures" / "porter" / "voc.txt").open(encoding="utf-8") as f:
+        fixture = {line.strip() for line in f}
+    rng = random.Random(SEED)
+    letters = "abcdefghijklmnopqrstuvwxyz" + "y" * 8 + "aeiou" * 2
+    suffixes = ("ational", "ies", "ing", "ed", "ness", "ion", "e", "ll")
+    words: list[str] = []
+    while len(words) < STEM_WORDS:
+        word = "".join(rng.choices(letters, k=rng.randint(1, 8))) + rng.choice(suffixes)
+        if word not in fixture:
+            words.append(word)
+    return words
 
 
 def failing_corpora(work: Path) -> dict[str, tuple[Path, str]]:
@@ -177,6 +200,8 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
                   ["select", str(quoted), *base[2:], "--wordnet-policy", "off"]))
     found.append(("stem", ["stem", "running", "ponies", "Caresses", "generalizations"]))
     found.append(("stem of a word that is not alphabetic", ["stem", "running", "x-ray"]))
+    found.append((f"stem of {STEM_WORDS} generated y-heavy words with Porter suffixes",
+                  ["stem", *generated_stem_words()]))
     for name, (root, layout) in failing_corpora(work).items():
         found.append((f"select fails on {name}",
                       ["select", str(root), "--layout", layout, "--wordnet-policy", "off",
