@@ -18,7 +18,7 @@ import logging
 import math
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,6 +33,12 @@ log = logging.getLogger("termsift.pipeline")
 
 WORDNET_POLICIES = ("annotate-only", "filter-nonwordnet", "off")
 LOG_BASES = {"e": math.e, "10": 10.0, "2": 2.0}
+# Every file ``select`` writes, metadata.json first; ``weigh_schemes`` clears them.
+OUTPUT_NAMES = ("metadata.json",
+                *(f"matrix_{s}.{ext}" for s in weighting.SCHEMES for ext in ("csv", "triplets")),
+                "report.txt", "report.csv", "report.json",
+                *(f"keyterms_{s}.txt" for s in (*weighting.SCHEMES, "joint")),
+                "lexical_categories.tsv")
 
 
 class PipelineConfig(NamedTuple):
@@ -51,7 +57,9 @@ class PipelineConfig(NamedTuple):
     matrix_format: str = "coordinate-triplet"
 
     def validate(self) -> None:
-        weighting.Thresholds(self.alpha, self.beta, self.gamma)
+        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"threshold {name} must be finite and >= 0, got {value}")
         if self.layout not in corpus_io.LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.wordnet_policy not in WORDNET_POLICIES:
@@ -214,28 +222,38 @@ def weigh_schemes(index: weighting.CorpusIndex, config: PipelineConfig,
     """Steps 6-7 and the matrix exports, one scheme at a time: compute its matrix,
     with ``select`` pick its key terms against its threshold, export it to
     ``matrix_<scheme>.<ext>`` (restricted to those key terms), and drop it before
-    the next scheme's matrix is built. Returns the key-term sets and the paths."""
+    the next scheme's matrix is built. Returns the key-term sets and the paths.
+
+    Before the first export it removes ``OUTPUT_NAMES`` (only ``metadata.json``
+    without ``select``) from ``out_dir``, so a directory that holds a
+    ``metadata.json`` holds just the artifacts of the run it describes."""
+    config.validate()
     if schemes == weighting.SCHEMES:
         log.info("step 6/7: computing tf-idf, tf-df and tf2 weight matrices")
     else:
         log.info(f"step 6/7: computing the {', '.join(schemes)} weight matrix")
     if select:
         log.info("step 7/7: selecting key terms against the thresholds")
-    thresholds = weighting.Thresholds(config.alpha, config.beta, config.gamma)
+    thresholds = {"tfidf": config.alpha, "tfdf": config.beta, "tf2": config.gamma}
     base = LOG_BASES[config.log_base]
     out_dir = Path(config.out_dir)
     ext = "csv" if config.matrix_format == "csv" else "triplets"
     key_terms: dict[str, weighting.KeyTermSet] = {}
     paths: dict[str, Path] = {}
+    with _stage_errors("write_outputs"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name in OUTPUT_NAMES if select else OUTPUT_NAMES[:1]:
+            # a directory is no artifact; an export onto it fails by itself
+            with suppress(FileNotFoundError, IsADirectoryError):
+                (out_dir / name).unlink()
     for scheme in schemes:
         with _stage_errors("compute_matrices"):
             matrix = weighting.compute_matrix(index, scheme, log_base=base)
         if select:
             key_terms[scheme] = weighting.select_key_terms(
-                matrix, thresholds.for_scheme(scheme), config.aggregation)
+                matrix, thresholds[scheme], config.aggregation)
         path = paths[f"matrix_{scheme}"] = out_dir / f"matrix_{scheme}.{ext}"
         with _stage_errors("write_outputs"):
-            out_dir.mkdir(parents=True, exist_ok=True)
             weighting.export_matrix(matrix, path, fmt=config.matrix_format,
                                     key_terms=key_terms.get(scheme))
         del matrix  # before the next scheme's matrix is built

@@ -54,19 +54,6 @@ class CorpusIndex(NamedTuple):
         return len(self.doc_ids)
 
 
-class Thresholds:
-    """The minimum tfidf (``alpha``), tfdf (``beta``) and tf2 (``gamma``) weights."""
-
-    def __init__(self, alpha: float = 0.028, beta: float = 0.01, gamma: float = 0.005):
-        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"threshold {name} must be finite and >= 0, got {value}")
-        self.alpha, self.beta, self.gamma = alpha, beta, gamma
-
-    def for_scheme(self, scheme: str) -> float:
-        return {"tfidf": self.alpha, "tfdf": self.beta, "tf2": self.gamma}[scheme]
-
-
 class WeightMatrix(NamedTuple):
     """One weight per populated cell, stored as the index's rows: ``weights[i]``,
     an ``array('d')``, is aligned with ``term_ids[i]``, the ``array('i')`` the

@@ -91,7 +91,6 @@ _NO_RULES: tuple[tuple, tuple] = ((), ())
 
 
 class LexEntry(NamedTuple):
-    lemma: str
     categories: frozenset[str]
 
     @property
@@ -383,8 +382,7 @@ def lexical_categories(db: WordNetDb, word: str) -> LexEntry:
     is) reads only the token-shaped maps; any other word, such as
     ``adult_male``, decodes the maps of the other lemmas on first use."""
     noun, verb = (db.noun, db.verb) if _token_shaped(word) else db.other_maps
-    return LexEntry(lemma=word,
-                    categories=noun.get(word, _NO_CATEGORIES) | verb.get(word, _NO_CATEGORIES))
+    return LexEntry(noun.get(word, _NO_CATEGORIES) | verb.get(word, _NO_CATEGORIES))
 
 
 def _detached(word: str, rules: tuple[tuple[str, str], ...],
@@ -404,13 +402,13 @@ def _lookup(db: WordNetDb, stem: str, surfaces: Iterable[str]) -> LexEntry:
     # forms of the surfaces. The first stage with any hit wins.
     cats = _categories_for(db, stem)
     if cats:
-        return LexEntry(lemma=stem, categories=cats)
+        return LexEntry(cats)
     surfaces = sorted(surfaces)
     surface_cats: set[str] = set()
     for surface in surfaces:
         surface_cats |= _categories_for(db, surface)
     if surface_cats:
-        return LexEntry(lemma=stem, categories=frozenset(surface_cats))
+        return LexEntry(frozenset(surface_cats))
     # No surface has a category here, so only the forms the detachment
     # rules make from each surface are looked up.
     base_cats: set[str] = set()
@@ -419,7 +417,7 @@ def _lookup(db: WordNetDb, stem: str, surfaces: Iterable[str]) -> LexEntry:
         for side_rules, index in zip(rules, (db.noun, db.verb)):
             for cand in _detached(surface, side_rules, index):
                 base_cats |= _categories_for(db, cand)
-    return LexEntry(lemma=stem, categories=frozenset(base_cats))
+    return LexEntry(frozenset(base_cats))
 
 
 def annotate_terms(db: WordNetDb, originals: Mapping[str, Iterable[str]]

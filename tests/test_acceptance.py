@@ -25,7 +25,6 @@ from termsift.porter import stem as porter_stem
 from termsift.textprep import TermVector
 from termsift.weighting import (
     SCHEMES,
-    Thresholds,
     build_index,
     compute_matrix,
     removed_percentage,
@@ -246,11 +245,11 @@ class TestC5SelectionMonotonicity:
             rng = random.Random(seed)
             index = build_index(_random_vectors(rng))
             matrices = {s: compute_matrix(index, s) for s in SCHEMES}
-            th = Thresholds(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1))
-            key_terms = {s: select_key_terms(matrices[s], th.for_scheme(s)) for s in SCHEMES}
+            th = {s: rng.uniform(0, 1) for s in SCHEMES}
+            key_terms = {s: select_key_terms(matrices[s], th[s]) for s in SCHEMES}
             joint = select_joint(key_terms).terms
             for s in SCHEMES:
-                assert joint <= select_key_terms(matrices[s], th.for_scheme(s)).terms
+                assert joint <= select_key_terms(matrices[s], th[s]).terms
 
 
 class TestC6LexicalLookups:

@@ -141,6 +141,20 @@ class TestValidation:
         assert "bogus" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("aggregation = median", "unknown aggregation 'median'"),
+        ("log_base = 3", "log base must be one of ['10', '2', 'e']"),
+    ], ids=["aggregation", "log-base"])
+    def test_config_file_aggregation_and_log_base_are_validated(self, capsys, corpus,
+                                                                tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "select", str(corpus), "--layout", "class-subdirectories",
+                           "--config", str(cfg), "--out", str(out_dir))
+        assert (code, err) == (EXIT_DATA, f"termsift: error: {message}\n")
+        assert not out_dir.exists()
+
     def test_invalid_utf8_manifest_names_file_line_and_stage(self, capsys, tmp_path):
         root = tmp_path / "corpus"
         root.mkdir()
@@ -461,6 +475,64 @@ class TestWriteFailures:
         assert err == "termsift: error: stage write_outputs: [Errno 28] No space left on device\n"
         # matrices are written first, metadata.json last
         assert [p.name for p in out_dir.iterdir()] == ["matrix_tfidf.triplets"]
+
+
+class TestReusedOut:
+    """A run into a used ``--out`` removes the artifact names of an earlier run
+    before its first export, so a ``metadata.json`` describes every artifact."""
+
+    def select(self, capsys, corpus, out_dir, *extra):
+        return run(capsys, "select", str(corpus), "--layout", "class-subdirectories",
+                   "--out", str(out_dir), *extra)
+
+    def test_second_select_leaves_only_its_own_artifacts(self, capsys, minicorpus_dir,
+                                                         tmp_path, wordnet_dir):
+        out_dir, fresh = tmp_path / "out", tmp_path / "fresh"
+        second = ("--wordnet-policy", "off", "--format", "csv")
+        assert self.select(capsys, minicorpus_dir, out_dir, "--wordnet-dir",
+                           str(wordnet_dir))[0] == EXIT_OK
+        assert self.select(capsys, minicorpus_dir, out_dir, *second)[0] == EXIT_OK
+        assert self.select(capsys, minicorpus_dir, fresh, *second)[0] == EXIT_OK
+
+        def artifacts(path):  # name -> bytes; only the metadata's timestamp differs
+            return {p.name: p.name == "metadata.json" or p.read_bytes() for p in path.iterdir()}
+
+        assert artifacts(out_dir) == artifacts(fresh)
+        assert json.loads((out_dir / "metadata.json").read_text())["wordnet_policy"] == "off"
+
+    def test_failed_rerun_leaves_no_metadata_or_temporary_file(self, capsys, corpus, tmp_path):
+        out_dir = tmp_path / "out"
+        assert self.select(capsys, corpus, out_dir, "--wordnet-policy", "off")[0] == EXIT_OK
+        (out_dir / "matrix_tfdf.triplets").unlink()
+        (out_dir / "matrix_tfdf.triplets").mkdir()
+        code, _, err = self.select(capsys, corpus, out_dir, "--wordnet-policy", "off",
+                                   "--alpha", "0.05")
+        assert code == EXIT_DATA
+        assert err.startswith("termsift: error: stage write_outputs: [Errno 21] Is a directory")
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert "metadata.json" not in names
+        assert not [name for name in names if name.endswith(".tmp")]
+
+    def test_weigh_after_select_leaves_no_metadata(self, capsys, corpus, tmp_path):
+        out_dir = tmp_path / "out"
+        assert self.select(capsys, corpus, out_dir, "--wordnet-policy", "off")[0] == EXIT_OK
+        code, _, _ = run(capsys, "weigh", str(corpus), "--layout", "class-subdirectories",
+                         "--wordnet-policy", "off", "--scheme", "tf2", "--out", str(out_dir))
+        assert code == EXIT_OK
+        assert not (out_dir / "metadata.json").exists()
+        assert (out_dir / "report.json").exists()  # weigh removes metadata.json alone
+
+    @pytest.mark.parametrize("command", ["weigh", "select"])
+    def test_other_files_survive(self, capsys, corpus, tmp_path, command):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        others = ("notes.txt", "matrix_bm25.csv", "keyterms_tfidf.txt.bak")
+        for name in others:
+            (out_dir / name).write_text("kept\n")
+        code, _, _ = run(capsys, command, str(corpus), "--layout", "class-subdirectories",
+                         "--wordnet-policy", "off", "--out", str(out_dir))
+        assert code == EXIT_OK
+        assert all((out_dir / name).read_text() == "kept\n" for name in others)
 
 
 class TestConfigFile:

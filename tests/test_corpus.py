@@ -94,6 +94,44 @@ class TestLoadCorpus:
             load_corpus(tmp_path, "manifest-file")
         assert str(exc.value) == f"{manifest}:2: empty doc_id"
 
+    def test_manifest_layout_needs_a_manifest(self, tmp_path):
+        write(tmp_path / "a.txt", "wheat")
+        with pytest.raises(FileNotFoundError) as exc:
+            load_corpus(tmp_path, "manifest-file")
+        assert str(exc.value) == f"manifest file not found: {tmp_path / 'manifest.tsv'}"
+
+    def test_manifest_blank_and_comment_lines_are_skipped(self, tmp_path):
+        write(tmp_path / "a.txt", "wheat")
+        write(tmp_path / "manifest.tsv", "# doc_id\tclass\tpath\n\n  \nd\tc\ta.txt\n\n")
+        assert [d.doc_id for d in load_corpus(tmp_path, "manifest-file")] == ["d"]
+
+    @pytest.mark.parametrize("relpath, problem", [
+        (".", "{root} is outside the corpus root {base}"),
+        ("..", "{root}/.. is outside the corpus root {base}"),
+        ("sub/", "{root}/sub is not a regular file"),
+    ], ids=["dot", "dot-dot", "slash"])
+    def test_manifest_path_naming_a_directory(self, tmp_path, relpath, problem):
+        root = tmp_path / "corpus"
+        write(root / "a.txt", "wheat")
+        (root / "sub").mkdir()
+        manifest = root / "manifest.tsv"
+        write(manifest, f"a\tc\ta.txt\nb\tc\t{relpath}\n")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(root, "manifest-file")
+        base = os.path.join(os.path.realpath(root), "")
+        assert str(exc.value) == f"{manifest}:2: " + problem.format(root=root, base=base)
+
+    def test_manifest_symlink_to_a_missing_file_names_manifest_line(self, tmp_path):
+        write(tmp_path / "x.txt", "xx")
+        os.symlink(tmp_path / "gone.txt", tmp_path / "link.txt")
+        manifest = tmp_path / "manifest.tsv"
+        write(manifest, "a\tc\tx.txt\nb\tc\tlink.txt\n")
+        with pytest.raises(OSError) as exc:
+            load_corpus(tmp_path, "manifest-file")
+        assert str(exc.value).startswith(
+            f"{manifest}:2: cannot read document file {tmp_path / 'link.txt'}: ")
+        assert isinstance(exc.value.__cause__, FileNotFoundError)
+
     def test_manifest_empty_class_is_no_class(self, tmp_path):
         write(tmp_path / "a.txt", "wheat")
         write(tmp_path / "manifest.tsv", "d\t\ta.txt\n")

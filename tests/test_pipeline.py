@@ -170,9 +170,46 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_pipeline(config_for(corpus, tmp_path, min_count=0))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("aggregation", "median", "unknown aggregation 'median'"),
+        ("log_base", "3", "log base must be one of ['10', '2', 'e']"),
+    ], ids=["aggregation", "log-base"])
+    def test_bad_aggregation_and_log_base(self, corpus, tmp_path, field, value, message):
+        with pytest.raises(ValueError) as exc:
+            run_pipeline(config_for(corpus, tmp_path, **{field: value}))
+        assert str(exc.value) == message
+        assert not (tmp_path / "out").exists()
+
     def test_negative_threshold(self, corpus, tmp_path):
         with pytest.raises(ValueError):
             run_pipeline(config_for(corpus, tmp_path, alpha=-1.0))
+
+    def test_threshold_defaults(self, corpus, tmp_path, monkeypatch):
+        config = config_for(corpus, tmp_path)
+        assert (config.alpha, config.beta, config.gamma) == (0.028, 0.01, 0.005)
+        used = {}
+        select = weighting.select_key_terms
+
+        def spy(matrix, threshold, *args):
+            used[matrix.scheme] = threshold
+            return select(matrix, threshold, *args)
+
+        monkeypatch.setattr(weighting, "select_key_terms", spy)
+        run_pipeline(config._replace(alpha=0.5, beta=0.25, gamma=0.125))
+        assert used == {"tfidf": 0.5, "tfdf": 0.25, "tf2": 0.125}
+
+    @pytest.mark.parametrize("name, value", [("alpha", -1.0), ("beta", math.nan),
+                                             ("gamma", math.inf)])
+    def test_invalid_thresholds(self, corpus, tmp_path, name, value):
+        config = config_for(corpus, tmp_path, **{name: value})
+        message = re.escape(f"threshold {name} must be finite and >= 0, got {value}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config.validate()
+        # weigh_schemes is public: called directly, it checks the config too
+        index = run_chain(config_for(corpus, tmp_path)).index
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pipeline.weigh_schemes(index, config, select=True)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "kw,stage",
@@ -443,7 +480,7 @@ class TestRecords:
     @pytest.mark.parametrize("record, field", [
         (PipelineConfig(corpus_path="corpus"), "min_count"),
         (weighting.KeyTermSet("tfidf", 0.1, "max", frozenset({"wheat"}), 3), "terms"),
-        (wordnet.LexEntry("wheat", frozenset({"noun.plant"})), "categories"),
+        (wordnet.LexEntry(frozenset({"noun.plant"})), "categories"),
     ])
     def test_records_are_immutable(self, record, field):
         with pytest.raises(AttributeError):

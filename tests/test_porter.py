@@ -8,11 +8,6 @@ from hypothesis import strategies as st
 
 from termsift import porter
 
-# The stemmer under test, passed as a parameter so that every case keeps its
-# "pure" test id.
-STEMMER = pytest.mark.parametrize("stem", [porter.stem], ids=["pure"])
-
-
 @pytest.mark.parametrize(
     "word,expected",
     [
@@ -43,26 +38,23 @@ STEMMER = pytest.mark.parametrize("stem", [porter.stem], ids=["pure"])
         ("running", "run"),
     ],
 )
-@STEMMER
-def test_known_words(stem, word, expected):
-    assert stem(word) == expected
+def test_known_words(word, expected):
+    assert porter.stem(word) == expected
 
 
-@STEMMER
-def test_short_words_unchanged(stem):
+def test_short_words_unchanged():
     for w in ("a", "is", "by", "ox"):
-        assert stem(w) == w
+        assert porter.stem(w) == w
 
 
-@STEMMER
-def test_empty_word_rejected(stem):
+def test_empty_word_rejected():
     with pytest.raises(ValueError):
-        stem("")
+        porter.stem("")
 
 
-@STEMMER
-def test_full_reference_fixture(stem, porter_fixture):
-    mismatches = [(w, stem(w), exp) for w, exp in porter_fixture if stem(w) != exp]
+def test_full_reference_fixture(porter_fixture):
+    mismatches = [(w, porter.stem(w), exp) for w, exp in porter_fixture
+                  if porter.stem(w) != exp]
     assert not mismatches, f"{len(mismatches)} mismatches, first: {mismatches[:5]}"
 
 

@@ -13,7 +13,6 @@ from termsift.weighting import (
     AGGREGATIONS,
     EXPORT_FORMATS,
     SCHEMES,
-    Thresholds,
     WeightMatrix,
     build_index,
     compute_matrix,
@@ -338,9 +337,8 @@ class TestSelection:
 
     def test_joint_is_intersection(self):
         _, matrices = self.make()
-        th = Thresholds()
-        joint = select_joint(_key_terms(matrices, th))
-        per = {s: select_key_terms(matrices[s], th.for_scheme(s)).terms for s in SCHEMES}
+        joint = select_joint(_key_terms(matrices))
+        per = {s: select_key_terms(matrices[s], THRESHOLDS[s]).terms for s in SCHEMES}
         assert joint.terms == per["tfidf"] & per["tfdf"] & per["tf2"]
         assert joint.threshold is None
         assert joint.scheme == "joint"
@@ -355,7 +353,7 @@ class TestSelection:
         _, matrices = self.make(seed=3)
         _, other = self.make(seed=4)
         key_terms = _key_terms(matrices)
-        key_terms["tf2"] = select_key_terms(other["tf2"], Thresholds().gamma)
+        key_terms["tf2"] = select_key_terms(other["tf2"], THRESHOLDS["tf2"])
         assert key_terms["tf2"].vocabulary_size != key_terms["tfidf"].vocabulary_size
         with pytest.raises(ValueError, match="vocabularies"):
             select_joint(key_terms)
@@ -370,22 +368,12 @@ class TestSelection:
             select_joint(key_terms)
 
 
-def _key_terms(matrices, th=Thresholds()):
-    return {s: select_key_terms(matrices[s], th.for_scheme(s)) for s in SCHEMES}
+# the paper's default alpha, beta and gamma
+THRESHOLDS = {"tfidf": 0.028, "tfdf": 0.01, "tf2": 0.005}
 
 
-class TestThresholds:
-    def test_defaults(self):
-        th = Thresholds()
-        assert (th.alpha, th.beta, th.gamma) == (0.028, 0.01, 0.005)
-        assert th.for_scheme("tfidf") == th.alpha
-        assert th.for_scheme("tfdf") == th.beta
-        assert th.for_scheme("tf2") == th.gamma
-
-    @pytest.mark.parametrize("bad", [{"alpha": -1}, {"beta": float("nan")}, {"gamma": float("inf")}])
-    def test_invalid(self, bad):
-        with pytest.raises(ValueError):
-            Thresholds(**bad)
+def _key_terms(matrices):
+    return {s: select_key_terms(matrices[s], THRESHOLDS[s]) for s in SCHEMES}
 
 
 class TestRemovedPercentage:

@@ -141,6 +141,51 @@ class TestLoad:
         assert f"{data}:{lineno}: malformed data line: " in str(exc.value)
         assert "3 words" in str(exc.value)
 
+    def test_blank_lexnames_lines_are_skipped(self, wordnet_dir, wordnet_db, tmp_path):
+        spaced = shutil.copytree(wordnet_dir, tmp_path / "spaced")
+        lex = spaced / "lexnames"
+        lex.write_text("\n" + lex.read_text().replace("\n", "\n  \n", 1))
+        assert load_wordnet(spaced) == wordnet_db
+
+    def test_malformed_lexnames_line_rejected(self, wordnet_dir, tmp_path):
+        broken = shutil.copytree(wordnet_dir, tmp_path / "badlexnames")
+        lex = broken / "lexnames"
+        lineno = _line_count(lex) + 1
+        with lex.open("a") as f:
+            f.write("noun.extra\t45\n")
+        with pytest.raises(WordNetFormatError) as exc:
+            load_wordnet(broken)
+        assert str(exc.value).startswith(f"{lex}:{lineno}: malformed lexnames line: ")
+
+    @pytest.mark.parametrize("line, reason", [
+        ("{offset:08d} 05 v 01 dog 0 000 | a dog\n", "synset type 'v', expected 'n'"),
+        ("{offset:08d} 05 n 00 dog 0 000 | a dog\n", "synset with no words"),
+    ], ids=["synset-type", "no-words"])
+    def test_data_line_checks(self, wordnet_dir, tmp_path, line, reason):
+        broken = shutil.copytree(wordnet_dir, tmp_path / "baddata")
+        data = broken / "data.noun"
+        lineno = _line_count(data) + 1
+        with data.open("a") as f:
+            f.write(line.format(offset=data.stat().st_size))
+        with pytest.raises(WordNetFormatError) as exc:
+            load_wordnet(broken)
+        assert str(exc.value) == f"{data}:{lineno}: malformed data line: {reason}"
+
+    @pytest.mark.parametrize("line, reason", [
+        ("zzzz v 1 0 1 0 {offset}  \n", "part of speech 'v', expected 'n'"),
+        ("zzzz n 2 0 2 0 {offset}  \n", "2 synsets declared, 1 offsets given"),
+    ], ids=["part-of-speech", "synset-count"])
+    def test_index_line_checks(self, wordnet_dir, tmp_path, line, reason):
+        broken = shutil.copytree(wordnet_dir, tmp_path / "badindex")
+        index = broken / "index.noun"
+        lineno = _line_count(index) + 1
+        offset = index.read_text().split()[-1]  # a synset the noun files hold
+        with index.open("a") as f:
+            f.write(line.format(offset=offset))
+        with pytest.raises(WordNetFormatError) as exc:
+            load_wordnet(broken)
+        assert str(exc.value) == f"{index}:{lineno}: malformed index line: {reason}"
+
 
 class TestCache:
     """The parsed database is cached under $XDG_CACHE_HOME/termsift, keyed by
@@ -208,6 +253,23 @@ class TestCache:
         assert load_wordnet(db_dir) == parsed
         self.forbid_parse(monkeypatch)
         assert load_wordnet(db_dir) == parsed  # the rewritten entry is a hit
+
+    @pytest.mark.parametrize("body, decoded", [
+        (b"no separator before the payload", 0),
+        (b"/db\0\xffnot marshal data", 1),
+    ], ids=["no-separator", "undecodable-payload"])
+    def test_entry_with_a_valid_digest_but_no_payload_is_a_miss(self, db_dir, tmp_path,
+                                                                 monkeypatch, body, decoded):
+        parsed = load_wordnet(db_dir)
+        [entry] = self.entries(tmp_path)
+        good = entry.read_bytes()
+        entry.write_bytes(good[:32] + hashlib.sha256(body).digest() + body)
+        calls = []
+        loads = marshal.loads
+        monkeypatch.setattr(marshal, "loads", lambda data: calls.append(data) or loads(data))
+        assert load_wordnet(db_dir) == parsed
+        assert len(calls) == decoded  # an entry with no NUL is not decoded at all
+        assert entry.read_bytes() == good
 
     @pytest.mark.parametrize("key", ["format-2-key", "current-key"])
     def test_format_2_entry_is_a_miss_and_rewritten(self, db_dir, tmp_path, key):

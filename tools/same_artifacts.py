@@ -44,6 +44,9 @@ always differs. The cases:
 - ``select`` on corpora that must fail: a manifest line with two fields,
   a manifest naming a missing document, a duplicate doc id, an empty
   corpus, and a document that is a symlink out of the corpus root
+- invalid thresholds, which must fail with the same message: ``select``
+  on the minicorpus with ``--alpha -1``, and ``weigh`` with a config file
+  that holds ``gamma = nan``
 
 Both trees read the same inputs, taken from this checkout, and each
 runs with a fresh temporary ``XDG_CACHE_HOME``, so the WordNet cache of
@@ -206,6 +209,12 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
         found.append((f"select fails on {name}",
                       ["select", str(root), "--layout", layout, "--wordnet-policy", "off",
                        "--out", "out"]))
+    found.append(("select fails on --alpha -1",
+                  base + ["--wordnet-policy", "off", "--alpha", "-1"]))
+    nan_config = work / "gamma-nan.cfg"
+    nan_config.write_text("gamma = nan\n", encoding="utf-8")
+    found.append(("weigh fails on a config file with gamma = nan",
+                  ["weigh", *base[1:], "--wordnet-policy", "off", "--config", str(nan_config)]))
     return found
 
 
