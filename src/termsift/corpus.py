@@ -114,12 +114,14 @@ def _scan_manifest(root: Path) -> Iterator[_Entry]:
 def _check_document(where: str, root: Path, relpath: str, base: str,
                     real_dirs: dict[str, str]) -> str:
     """The real path of ``root/relpath``, after rejecting it unless it is a
-    regular file under ``base`` (the real corpus root plus a separator).
+    regular file under ``base`` (the real corpus root plus a separator),
+    named without a trailing separator or ".".
     This runs before any open, since a FIFO or a device could block or
     never end. ``real_dirs`` caches each directory's real path, with a
     trailing separator, across one load, since resolving a path in full
     stats every one of its components. Messages start with ``where`` and
-    show the path as ``root / relpath``, built only when one is raised."""
+    show the path as ``root / relpath`` (as joined, when its ending is the
+    fault), built only when one is raised."""
     if "\0" in relpath:
         raise CorpusFormatError(f"{where}document path {relpath!r} holds a NUL character")
     path = os.path.join(root, relpath)
@@ -148,6 +150,8 @@ def _check_document(where: str, root: Path, relpath: str, base: str,
         raise OSError(f"{where}cannot read document file {root / relpath}: {error}") from error
     if not stat.S_ISREG(st.st_mode):
         raise CorpusFormatError(f"{where}{root / relpath} is not a regular file")
+    if name in ("", "."):  # a trailing separator or "." opens only a directory
+        raise CorpusFormatError(f"{where}{path} is not a directory")
     return real
 
 

@@ -9,7 +9,8 @@ seven steps in order.
 ``extract_terms`` (steps 1-3) and ``build_vocabulary`` (4-5) run in sequence
 under ``run_chain``, which every CLI subcommand that reads a corpus calls for a
 prefix of the chain. ``weigh_schemes`` then takes one scheme at a time through
-steps 6-7 and its export, so only one weight matrix exists at a time.
+steps 6-7 and its export, which compute each weight from the index as they read
+its cell, so no weight is stored.
 """
 
 from __future__ import annotations
@@ -219,10 +220,10 @@ def run_chain(config: PipelineConfig, last_step: int = 5) -> PipelineResult:
 def weigh_schemes(index: weighting.CorpusIndex, config: PipelineConfig,
                   schemes: tuple[str, ...] = weighting.SCHEMES, select: bool = False
                   ) -> tuple[dict[str, weighting.KeyTermSet], dict[str, Path]]:
-    """Steps 6-7 and the matrix exports, one scheme at a time: compute its matrix,
-    with ``select`` pick its key terms against its threshold, export it to
-    ``matrix_<scheme>.<ext>`` (restricted to those key terms), and drop it before
-    the next scheme's matrix is built. Returns the key-term sets and the paths.
+    """Steps 6-7 and the matrix exports, one scheme at a time: take its weight
+    formula over ``index``, with ``select`` pick its key terms against its
+    threshold, and export its matrix to ``matrix_<scheme>.<ext>`` (restricted to
+    those key terms). Returns the key-term sets and the paths.
 
     Before the first export it removes ``OUTPUT_NAMES`` (only ``metadata.json``
     without ``select``) from ``out_dir``, so a directory that holds a
@@ -256,7 +257,6 @@ def weigh_schemes(index: weighting.CorpusIndex, config: PipelineConfig,
         with _stage_errors("write_outputs"):
             weighting.export_matrix(matrix, path, fmt=config.matrix_format,
                                     key_terms=key_terms.get(scheme))
-        del matrix  # before the next scheme's matrix is built
     return key_terms, paths
 
 

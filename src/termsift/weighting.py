@@ -12,8 +12,9 @@ default) clears the scheme's threshold.
 
 The index holds one row per document: its term ids in ascending order and
 their TF values, each row a flat ``array`` of C ints or doubles. A matrix
-maps those rows to weights, sharing the id rows, and exports stream them to
-the file in (doc, term) order.
+stores no weight: it pairs the index with its scheme's formula, and
+selection and export compute each cell's weight from the index row they
+read, in (doc, term) order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from bisect import bisect_left
 from collections.abc import Container, Mapping
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from termsift.errors import EmptyCorpusError
 from termsift.textprep import TermVector
@@ -55,44 +56,42 @@ class CorpusIndex(NamedTuple):
 
 
 class WeightMatrix(NamedTuple):
-    """One weight per populated cell, stored as the index's rows: ``weights[i]``,
-    an ``array('d')``, is aligned with ``term_ids[i]``, the ``array('i')`` the
-    index holds for document i."""
+    """A scheme's weights over the index's populated cells, computed where
+    they are read: ``weight(tf, j)`` is the weight of a cell of term j whose
+    TF is ``tf``. No weight is stored."""
 
     scheme: str
-    term_ids: tuple[array, ...]
-    weights: tuple[array, ...]
-    doc_ids: tuple[str, ...]
-    vocabulary: tuple[str, ...]
+    index: CorpusIndex
+    weight: Callable[[float, int], float]
 
     @property
     def entries(self) -> Mapping[tuple[int, int], float]:
         """Read-only (doc index, term index) -> weight view of the populated
         cells, iterated in (doc, term) order."""
-        return _Entries(self.term_ids, self.weights)
+        return _Entries(self)
 
 
 class _Entries(Mapping):
-    __slots__ = ("_term_ids", "_weights")
+    __slots__ = ("_matrix",)
 
-    def __init__(self, term_ids, weights):
-        self._term_ids = term_ids
-        self._weights = weights
+    def __init__(self, matrix: WeightMatrix):
+        self._matrix = matrix
 
     def __len__(self) -> int:
-        return sum(map(len, self._term_ids))
+        return sum(map(len, self._matrix.index.term_ids))
 
     def __getitem__(self, key: tuple[int, int]) -> float:
         i, j = key
-        if 0 <= i < len(self._term_ids):
-            ids = self._term_ids[i]
+        index = self._matrix.index
+        if 0 <= i < index.doc_count:
+            ids = index.term_ids[i]
             k = bisect_left(ids, j)
             if k < len(ids) and ids[k] == j:
-                return self._weights[i][k]
+                return self._matrix.weight(index.tf[i][k], j)
         raise KeyError(key)
 
     def __iter__(self):
-        for i, ids in enumerate(self._term_ids):
+        for i, ids in enumerate(self._matrix.index.term_ids):
             for j in ids:
                 yield (i, j)
 
@@ -161,51 +160,44 @@ def frequent_terms(vectors: Iterable[TermVector], min_count: int = 1) -> set[str
 
 
 def compute_matrix(index: CorpusIndex, scheme: str, log_base: float = math.e) -> WeightMatrix:
-    """One weight per populated (document, term) cell; empty docs get empty rows."""
+    """The scheme's weight of each populated (document, term) cell of ``index``."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown weighting scheme {scheme!r}; expected one of {SCHEMES}")
-    n = index.doc_count
-    df = index.df
-    rows = zip(index.term_ids, index.tf)
+    n, df = index.doc_count, index.df
     if scheme == "tfdf":
-        weights = [array("d", [tf * n / df[j] for j, tf in zip(ids, tfs)]) for ids, tfs in rows]
-    else:
-        idf = [math.log(n / d, log_base) for d in df]
-        if scheme == "tfidf":
-            weights = [array("d", [tf * idf[j] for j, tf in zip(ids, tfs)]) for ids, tfs in rows]
-        else:
-            weights = [array("d", [(tf * idf[j]) * (tf * n / df[j]) for j, tf in zip(ids, tfs)])
-                       for ids, tfs in rows]
-    return WeightMatrix(scheme=scheme, term_ids=index.term_ids, weights=tuple(weights),
-                        doc_ids=index.doc_ids, vocabulary=index.vocabulary)
+        return WeightMatrix(scheme, index, lambda tf, j: tf * n / df[j])
+    idf = [math.log(n / d, log_base) for d in df]
+    if scheme == "tfidf":
+        return WeightMatrix(scheme, index, lambda tf, j: tf * idf[j])
+    return WeightMatrix(scheme, index, lambda tf, j: (tf * idf[j]) * (tf * n / df[j]))
 
 
 def select_key_terms(matrix: WeightMatrix, threshold: float, aggregation: str = "max") -> KeyTermSet:
     """Terms whose aggregated weight is >= threshold."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
+    index, weight = matrix.index, matrix.weight
+    rows = zip(index.term_ids, index.tf)
     if aggregation == "max":
         # a term's maximum reaches the threshold exactly when one of its cells does
-        ids = {j for row, ws in zip(matrix.term_ids, matrix.weights)
-               for j, w in zip(row, ws) if w >= threshold}
+        ids = {j for row, tfs in rows for j, tf in zip(row, tfs) if weight(tf, j) >= threshold}
     elif aggregation == "mean":
-        # each term's sum (from 0, its weights added in document order) and cell count
-        sums = [0.0] * len(matrix.vocabulary)
-        cells = [0] * len(matrix.vocabulary)
-        for row, ws in zip(matrix.term_ids, matrix.weights):
-            for j, w in zip(row, ws):
-                sums[j] += w
-                cells[j] += 1
-        ids = {j for j, (total, n) in enumerate(zip(sums, cells)) if n and total / n >= threshold}
+        # each term's sum, from 0 with its weights added in document order, over
+        # its df: a term has one cell in each document that holds it
+        sums = [0.0] * len(index.vocabulary)
+        for row, tfs in rows:
+            for j, tf in zip(row, tfs):
+                sums[j] += weight(tf, j)
+        ids = {j for j, (total, d) in enumerate(zip(sums, index.df))
+               if d and total / d >= threshold}
     else:
         raise ValueError(f"unknown aggregation {aggregation!r}; expected one of {AGGREGATIONS}")
-    terms = frozenset(matrix.vocabulary[j] for j in ids)
     return KeyTermSet(
         scheme=matrix.scheme,
         threshold=threshold,
         aggregation=aggregation,
-        terms=terms,
-        vocabulary_size=len(matrix.vocabulary),
+        terms=frozenset(index.vocabulary[j] for j in ids),
+        vocabulary_size=len(index.vocabulary),
     )
 
 
@@ -262,7 +254,8 @@ def export_matrix(
 
     With ``key_terms`` the columns are restricted to the selected terms.
     Triplets are one line per kept cell, so a matrix with none is an empty file.
-    Weights print with 10 significant digits, dot decimal separator. A
+    Each written cell's weight is computed as it is written, and prints with
+    10 significant digits, dot decimal separator. A
     document id holding a comma, double quote or line break is quoted the
     RFC 4180 way; terms are letters only, so they never need it.
 
@@ -273,12 +266,13 @@ def export_matrix(
     if fmt not in EXPORT_FORMATS:
         raise ValueError(f"unknown export format {fmt!r}")
     out = Path(path)
-    vocabulary = matrix.vocabulary
+    index, weight = matrix.index, matrix.weight
+    vocabulary = index.vocabulary
     if key_terms is not None:
         keep = [j for j, t in enumerate(vocabulary) if t in key_terms.terms]
     else:
         keep = range(len(vocabulary))
-    rows = zip(map(csv_field, matrix.doc_ids), matrix.term_ids, matrix.weights)
+    rows = zip(map(csv_field, index.doc_ids), index.term_ids, index.tf)
     with _replacing(out) as f:
         if fmt == "csv":
             column: list[int | None] = [None] * len(vocabulary)
@@ -286,19 +280,19 @@ def export_matrix(
                 column[j] = c
             f.write(",".join(["doc_id", *(vocabulary[j] for j in keep)]) + "\n")
             zero_row = ",0" * len(keep) + "\n"  # the cells of a document with no kept term
-            for doc_id, ids, ws in rows:
+            for doc_id, ids, tfs in rows:
                 cells = None
-                for j, w in zip(ids, ws):
+                for j, tf in zip(ids, tfs):
                     c = column[j]
                     if c is not None:
                         if cells is None:
                             cells = ["0"] * len(keep)
-                        cells[c] = f"{w:.10g}"
+                        cells[c] = f"{weight(tf, j):.10g}"
                 f.write(doc_id + zero_row if cells is None
                         else ",".join([doc_id, *cells]) + "\n")
         else:
             kept = set(keep)
-            for doc_id, ids, ws in rows:
-                f.write("".join([f"{doc_id},{vocabulary[j]},{w:.10g}\n"
-                                 for j, w in zip(ids, ws) if j in kept]))
+            for doc_id, ids, tfs in rows:
+                f.write("".join([f"{doc_id},{vocabulary[j]},{weight(tf, j):.10g}\n"
+                                 for j, tf in zip(ids, tfs) if j in kept]))
     return out

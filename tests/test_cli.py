@@ -451,7 +451,7 @@ class TestWriteFailures:
         from termsift import weighting
 
         class FullDisk:
-            """Weight rows that fail once the first document's row is read."""
+            """TF rows that fail once the first document's row is read."""
 
             def __init__(self, rows):
                 self.rows = rows
@@ -464,7 +464,7 @@ class TestWriteFailures:
 
         def failing_export(matrix, *args, **kwargs):
             if matrix.scheme == "tfdf":
-                matrix = matrix._replace(weights=FullDisk(matrix.weights))
+                matrix = matrix._replace(index=matrix.index._replace(tf=FullDisk(matrix.index.tf)))
             return export(matrix, *args, **kwargs)
 
         monkeypatch.setattr(weighting, "export_matrix", failing_export)

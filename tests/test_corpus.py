@@ -109,7 +109,10 @@ class TestLoadCorpus:
         (".", "{root} is outside the corpus root {base}"),
         ("..", "{root}/.. is outside the corpus root {base}"),
         ("sub/", "{root}/sub is not a regular file"),
-    ], ids=["dot", "dot-dot", "slash"])
+        ("a.txt/", "{root}/a.txt/ is not a directory"),
+        ("a.txt/.", "{root}/a.txt/. is not a directory"),
+        ("a.txt//", "{root}/a.txt// is not a directory"),
+    ], ids=["dot", "dot-dot", "slash", "file-slash", "file-slash-dot", "file-double-slash"])
     def test_manifest_path_naming_a_directory(self, tmp_path, relpath, problem):
         root = tmp_path / "corpus"
         write(root / "a.txt", "wheat")

@@ -1,12 +1,12 @@
 import logging
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
-import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +20,7 @@ from termsift.corpus import StopwordList, load_corpus
 from termsift.pipeline import (
     PipelineConfig, extract_terms, run_chain, run_pipeline, run_weigh,
 )
+from termsift.textprep import TermVector
 
 SW = StopwordList(words=frozenset({"the", "of", "and", "a", "is"}))
 
@@ -262,7 +263,11 @@ class TestRunChain:
         monkeypatch.setattr(wordnet, "load_wordnet", unused)
         for scheme in weighting.SCHEMES:
             run_weigh(config, scheme)
-        assert computed[3:] == computed[:3]
+
+        def cells(matrix):  # a matrix's formula is a new function each time
+            return matrix.scheme, matrix.index, dict(matrix.entries)
+
+        assert list(map(cells, computed[3:])) == list(map(cells, computed[:3]))
 
     def test_stage_prefix_keeps_type_and_cause_of_errno_oserror(self, corpus, tmp_path,
                                                                monkeypatch):
@@ -285,8 +290,9 @@ class TestRunChain:
         natural, result = computed[:3], computed[3:]
         for matrix, natural_matrix in zip(result, natural, strict=True):
             divisor = 1.0 if matrix.scheme == "tfdf" else math.log(float(log_base))
-            for ws, natural_ws in zip(matrix.weights, natural_matrix.weights, strict=True):
-                assert ws == pytest.approx([w / divisor for w in natural_ws], rel=1e-12)
+            assert list(matrix.entries) == list(natural_matrix.entries)
+            assert list(matrix.entries.values()) == pytest.approx(
+                [w / divisor for w in natural_matrix.entries.values()], rel=1e-12)
 
     def test_step_six_computes_only_the_requested_schemes(self, corpus, tmp_path,
                                                           monkeypatch, computed):
@@ -303,18 +309,15 @@ class TestRunChain:
 class TestOneSchemeAtATime:
     """Steps 6-7 take each scheme through compute, select and export before the next."""
 
-    def test_each_scheme_is_exported_and_dropped_before_the_next(self, corpus, tmp_path,
-                                                                 monkeypatch):
-        calls, rows, held = [], [], []
+    def test_schemes_are_computed_selected_and_exported_in_turn(self, corpus, tmp_path,
+                                                                monkeypatch):
+        calls = []
         compute, select = weighting.compute_matrix, weighting.select_key_terms
         export = weighting.export_matrix
 
         def spy_compute(index, scheme, **kw):
-            held.append(sum(row() is not None for row in rows))
             calls.append(("compute", scheme))
-            matrix = compute(index, scheme, **kw)
-            rows.append(weakref.ref(matrix.weights[0]))
-            return matrix
+            return compute(index, scheme, **kw)
 
         def spy_select(matrix, *args):
             calls.append(("select", matrix.scheme))
@@ -330,8 +333,28 @@ class TestOneSchemeAtATime:
         run_pipeline(config_for(corpus, tmp_path))
         assert calls == [(step, scheme) for scheme in ("tfidf", "tfdf", "tf2")
                          for step in ("compute", "select", "export")]
-        assert held == [0, 0, 0]  # no earlier matrix is alive when the next is built
-        assert all(row() is None for row in rows)
+
+    @pytest.mark.parametrize("aggregation", weighting.AGGREGATIONS)
+    def test_weights_are_not_stored(self, tmp_path, aggregation):
+        # 500 documents x 200 of 2,000 terms: 100,000 cells
+        rng = random.Random(5)
+        terms = [f"t{k:04d}" for k in range(2000)]
+        index = weighting.build_index([
+            TermVector(f"d{i}", {t: rng.randint(1, 9) for t in rng.sample(terms, 200)})
+            for i in range(500)])
+        cells = sum(map(len, index.term_ids))
+        # thresholds no weight reaches, so the exports write no cell
+        config = config_for(tmp_path, tmp_path, alpha=1e9, beta=1e9, gamma=1e9,
+                            aggregation=aggregation)
+        tracemalloc.start()
+        try:
+            key_terms, _ = pipeline.weigh_schemes(index, config, select=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(kd.terms for kd in key_terms.values())
+        # a stored matrix takes 8 bytes a cell in its array('d') rows
+        assert peak < 3 * cells, f"traced peak {peak / cells:.2f} bytes a cell"
 
     def test_pipeline_result_holds_no_matrix_and_no_index(self, corpus, tmp_path):
         result = run_pipeline(config_for(corpus, tmp_path))

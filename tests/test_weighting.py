@@ -13,6 +13,7 @@ from termsift.weighting import (
     AGGREGATIONS,
     EXPORT_FORMATS,
     SCHEMES,
+    CorpusIndex,
     WeightMatrix,
     build_index,
     compute_matrix,
@@ -148,7 +149,7 @@ class TestMatrix:
         matrix = compute_matrix(index, "tfidf")
         pos = {t: j for j, t in enumerate(index.vocabulary)}
         assert set(matrix.entries) == {(0, pos["x"]), (1, pos["y"])}
-        assert (len(matrix.doc_ids), len(matrix.vocabulary)) == (2, 2)
+        assert (len(matrix.index.doc_ids), len(matrix.index.vocabulary)) == (2, 2)
 
     def test_unknown_scheme(self):
         index = build_index([vec("a", {"x": 1})])
@@ -192,11 +193,10 @@ class TestOracleEquivalence:
         for base in (2.0, 10.0):
             for s in SCHEMES:
                 matrix = compute_matrix(index, s, log_base=base)
-                assert matrix.term_ids == natural[s].term_ids
+                assert list(matrix.entries) == list(natural[s].entries)
                 divisor = 1.0 if s == "tfdf" else math.log(base)
-                for ws, natural_ws in zip(matrix.weights, natural[s].weights):
-                    assert ws == pytest.approx([w / divisor for w in natural_ws],
-                                               rel=1e-12, abs=1e-15)
+                assert list(matrix.entries.values()) == pytest.approx(
+                    [w / divisor for w in natural[s].entries.values()], rel=1e-12, abs=1e-15)
 
 
 class TestSelection:
@@ -287,13 +287,16 @@ class TestSelection:
                 ws.append(extra[i])
             term_ids.append(tuple(ids))
             weights.append(tuple(ws))
-        matrix = WeightMatrix("tfidf", tuple(term_ids), tuple(weights),
-                              tuple(f"d{i}" for i in range(n_docs)),
-                              tuple(f"t{j}" for j in range(n_terms + 1)))
         columns = {}
         for ids, ws in zip(term_ids, weights):
             for j, w in zip(ids, ws):
                 columns.setdefault(j, []).append(w)
+        # the drawn weights stand in the tf rows, and the formula returns them
+        index = CorpusIndex(tuple(f"t{j}" for j in range(n_terms + 1)),
+                            tuple(f"d{i}" for i in range(n_docs)),
+                            tuple(len(columns.get(j, ())) for j in range(n_terms + 1)),
+                            tuple(term_ids), tuple(weights))
+        matrix = WeightMatrix("tfidf", index, lambda tf, j: tf)
         if aggregation == "max":
             aggregate = {j: max(ws) for j, ws in columns.items()}
         else:
@@ -558,7 +561,7 @@ class TestExport:
         matrix = compute_matrix(self.INDEX, "tfidf")
         path = export_matrix(matrix, tmp_path / "m.triplets", fmt="coordinate-triplet")
         pos = {t: j for j, t in enumerate(self.INDEX.vocabulary)}
-        docs = {d: i for i, d in enumerate(matrix.doc_ids)}
+        docs = {d: i for i, d in enumerate(matrix.index.doc_ids)}
         for line in path.read_text().splitlines():
             doc_id, term, printed = line.split(",")
             exact = matrix.entries[(docs[doc_id], pos[term])]
