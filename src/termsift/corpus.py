@@ -114,28 +114,27 @@ def _scan_manifest(root: Path) -> Iterator[_Entry]:
 def _check_document(where: str, root: Path, relpath: str, base: str,
                     real_dirs: dict[str, str]) -> str:
     """The real path of ``root/relpath``, after rejecting it unless it is a
-    regular file under ``base`` (the real corpus root plus a separator),
-    named without a trailing separator or ".".
-    This runs before any open, since a FIFO or a device could block or
-    never end. ``real_dirs`` caches each directory's real path, with a
-    trailing separator, across one load, since resolving a path in full
-    stats every one of its components. Messages start with ``where`` and
-    show the path as ``root / relpath`` (as joined, when its ending is the
-    fault), built only when one is raised."""
+    regular file under ``base`` (the real corpus root plus a separator).
+    The path is checked as written, so the kernel walks each component and
+    one that goes on past a file or through a missing directory fails as
+    ``open`` would. This runs before any open, since a FIFO or a device
+    could block or never end. ``real_dirs`` caches each directory's real
+    path, with a trailing separator, across one load, since resolving a
+    path in full stats every one of its components. Messages start with
+    ``where`` and show the path as ``root / relpath``, built only when one
+    is raised."""
     if "\0" in relpath:
         raise CorpusFormatError(f"{where}document path {relpath!r} holds a NUL character")
     path = os.path.join(root, relpath)
     head, name = os.path.split(path)
-    if name in ("", ".", ".."):
-        real = os.path.realpath(path)
-    else:
-        if head not in real_dirs:
-            real_dirs[head] = os.path.join(os.path.realpath(head), "")
-        # realpath(head/name) is realpath(head)/name unless name is a symlink
-        real = real_dirs[head] + name
+    if head not in real_dirs:
+        real_dirs[head] = os.path.join(os.path.realpath(head), "")
+    # realpath(head/name) is realpath(head)/name unless name is a symlink,
+    # once the lstat below has walked every component of head as a directory
+    real = real_dirs[head] + name
     # one lstat answers "symlink?" and, for anything else, "regular file?"
     try:
-        st = os.lstat(real)
+        st = os.lstat(path)
     except OSError as exc:
         st, error = None, exc
     if st is not None and stat.S_ISLNK(st.st_mode):
@@ -150,8 +149,6 @@ def _check_document(where: str, root: Path, relpath: str, base: str,
         raise OSError(f"{where}cannot read document file {root / relpath}: {error}") from error
     if not stat.S_ISREG(st.st_mode):
         raise CorpusFormatError(f"{where}{root / relpath} is not a regular file")
-    if name in ("", "."):  # a trailing separator or "." opens only a directory
-        raise CorpusFormatError(f"{where}{path} is not a directory")
     return real
 
 

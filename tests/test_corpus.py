@@ -105,24 +105,43 @@ class TestLoadCorpus:
         write(tmp_path / "manifest.tsv", "# doc_id\tclass\tpath\n\n  \nd\tc\ta.txt\n\n")
         assert [d.doc_id for d in load_corpus(tmp_path, "manifest-file")] == ["d"]
 
-    @pytest.mark.parametrize("relpath, problem", [
-        (".", "{root} is outside the corpus root {base}"),
-        ("..", "{root}/.. is outside the corpus root {base}"),
-        ("sub/", "{root}/sub is not a regular file"),
-        ("a.txt/", "{root}/a.txt/ is not a directory"),
-        ("a.txt/.", "{root}/a.txt/. is not a directory"),
-        ("a.txt//", "{root}/a.txt// is not a directory"),
-    ], ids=["dot", "dot-dot", "slash", "file-slash", "file-slash-dot", "file-double-slash"])
-    def test_manifest_path_naming_a_directory(self, tmp_path, relpath, problem):
+    @pytest.mark.parametrize("relpath, error, problem", [
+        (".", CorpusFormatError, "{root} is not a regular file"),
+        ("..", CorpusFormatError, "{root}/.. is not a regular file"),
+        ("sub/", CorpusFormatError, "{root}/sub is not a regular file"),
+        ("a.txt/", OSError, "cannot read document file {root}/a.txt: "
+                            "[Errno 20] Not a directory: '{root}/a.txt/'"),
+        ("a.txt/.", OSError, "cannot read document file {root}/a.txt: "
+                             "[Errno 20] Not a directory: '{root}/a.txt/.'"),
+        ("a.txt//", OSError, "cannot read document file {root}/a.txt: "
+                             "[Errno 20] Not a directory: '{root}/a.txt//'"),
+        ("a.txt/../a.txt", OSError, "cannot read document file {root}/a.txt/../a.txt: "
+                                    "[Errno 20] Not a directory: '{root}/a.txt/../a.txt'"),
+        ("missing/../a.txt", OSError,
+         "cannot read document file {root}/missing/../a.txt: "
+         "[Errno 2] No such file or directory: '{root}/missing/../a.txt'"),
+    ], ids=["dot", "dot-dot", "slash", "file-slash", "file-slash-dot", "file-double-slash",
+            "through-a-file", "through-a-missing-directory"])
+    def test_manifest_path_naming_a_directory(self, tmp_path, relpath, error, problem):
         root = tmp_path / "corpus"
         write(root / "a.txt", "wheat")
         (root / "sub").mkdir()
         manifest = root / "manifest.tsv"
         write(manifest, f"a\tc\ta.txt\nb\tc\t{relpath}\n")
-        with pytest.raises(CorpusFormatError) as exc:
+        with pytest.raises(error) as exc:
             load_corpus(root, "manifest-file")
-        base = os.path.join(os.path.realpath(root), "")
-        assert str(exc.value) == f"{manifest}:2: " + problem.format(root=root, base=base)
+        assert str(exc.value) == f"{manifest}:2: " + problem.format(root=root)
+
+    def test_manifest_path_resolves_a_symlinked_directory_before_dot_dot(self, tmp_path):
+        write(tmp_path / "a.txt", "wheat")
+        write(tmp_path / "sub" / "a.txt", "barley")
+        (tmp_path / "sub" / "inner").mkdir()
+        os.symlink("sub/inner", tmp_path / "link")
+        write(tmp_path / "manifest.tsv", "d\tc\tlink/../a.txt\n")
+        [doc] = load_corpus(tmp_path, "manifest-file")
+        # as the kernel (and cat) does; a lexical normpath would name ./a.txt
+        assert doc.path == os.path.realpath(tmp_path / "sub" / "a.txt")
+        assert doc.read() == "barley"
 
     def test_manifest_symlink_to_a_missing_file_names_manifest_line(self, tmp_path):
         write(tmp_path / "x.txt", "xx")
@@ -247,7 +266,7 @@ class TestLoadCorpus:
 _NAMED_PATHS = st.sampled_from([
     "a.txt", "sub/b.txt", "sub/", "sub", ".", "..", "", "../outside.txt", "{outside}",
     "{root}/a.txt", "{root}", "link", "loop", "pipe", "missing.txt", "sub/../a.txt",
-    "./a.txt", "a.txt/", "nul\0.txt", "x" * 300,
+    "./a.txt", "a.txt/", "a.txt/../a.txt", "missing/../a.txt", "nul\0.txt", "x" * 300,
 ])
 _FIELDS = st.tuples(st.text(max_size=6), st.text(max_size=4),
                     st.one_of(_NAMED_PATHS, _NAMED_PATHS, st.text(max_size=12)))
@@ -292,6 +311,7 @@ class TestLoadCorpusFuzz:
                 assert d.doc_id
                 # checked before any read: a FIFO would block the read below
                 assert d.path.startswith(real_root) and os.path.isfile(d.path)
+                assert os.path.samefile(os.path.join(d.root, d.relpath), d.path)
                 assert d.read() != "outside text"
 
 
