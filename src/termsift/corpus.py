@@ -32,8 +32,9 @@ _Entry = tuple[str, str | None, str, int]
 
 class Document(NamedTuple):
     """A listed document, checked to be a regular file inside the corpus root:
-    ``read`` opens its real ``path``. ``root``, ``relpath`` and ``line`` (of
-    its manifest, or 0) name it in a read error, built only when one fails."""
+    ``read_bytes`` opens its real ``path``, and ``read`` decodes what it reads.
+    ``root``, ``relpath`` and ``line`` (of its manifest, or 0) name it in a
+    read error, built only when one fails."""
 
     doc_id: str
     class_label: str | None
@@ -42,15 +43,17 @@ class Document(NamedTuple):
     relpath: str
     line: int
 
-    def read(self) -> str:
+    def read_bytes(self) -> bytes:
         try:
             with open(self.path, "rb", buffering=0) as f:
-                data = f.read()
+                return f.read()
         except OSError as exc:
             where = f"{self.root / MANIFEST_NAME}:{self.line}: " if self.line else ""
-            raise OSError(f"{where}cannot read document file {self.root / self.relpath}: "
-                          f"{exc}") from exc
-        return data.decode("utf-8", errors="replace")
+            raise OSError(f"{where}cannot read document file "
+                          f"{os.path.join(self.root, self.relpath)}: {exc}") from exc
+
+    def read(self) -> str:
+        return self.read_bytes().decode("utf-8", errors="replace")
 
 
 class StopwordList:
@@ -121,8 +124,7 @@ def _check_document(where: str, root: Path, relpath: str, base: str,
     could block or never end. ``real_dirs`` caches each directory's real
     path, with a trailing separator, across one load, since resolving a
     path in full stats every one of its components. Messages start with
-    ``where`` and show the path as ``root / relpath``, built only when one
-    is raised."""
+    ``where`` and show the path as written, ``os.path.join(root, relpath)``."""
     if "\0" in relpath:
         raise CorpusFormatError(f"{where}document path {relpath!r} holds a NUL character")
     path = os.path.join(root, relpath)
@@ -144,11 +146,11 @@ def _check_document(where: str, root: Path, relpath: str, base: str,
         except OSError as exc:
             st, error = None, exc
     if not real.startswith(base):
-        raise CorpusFormatError(f"{where}{root / relpath} is outside the corpus root {base}")
+        raise CorpusFormatError(f"{where}{path} is outside the corpus root {base}")
     if st is None:
-        raise OSError(f"{where}cannot read document file {root / relpath}: {error}") from error
+        raise OSError(f"{where}cannot read document file {path}: {error}") from error
     if not stat.S_ISREG(st.st_mode):
-        raise CorpusFormatError(f"{where}{root / relpath} is not a regular file")
+        raise CorpusFormatError(f"{where}{path} is not a regular file")
     return real
 
 
@@ -191,13 +193,20 @@ def load_corpus(root_path: str | Path, layout: str = "flat") -> tuple[Document, 
 
 
 def load_stopwords(path: str | Path) -> StopwordList:
-    """Read a one-word-per-line stopword file (``#`` comments, blanks skipped)."""
+    """Read a one-word-per-line UTF-8 stopword file (``#`` comments, blanks
+    skipped); a byte that is not UTF-8 raises naming its line."""
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"stopword file not found: {p}")
     raw = p.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line: the sentinel joins a partial last line or starts the next one
+        lineno = len((raw[:exc.start] + b"x").splitlines())
+        raise ValueError(f"{p}:{lineno}: not valid UTF-8") from exc
     words = set()
-    for line in raw.decode("utf-8", errors="replace").splitlines():
+    for line in text.splitlines():
         word = line.strip().lower()
         if not word or word.startswith("#"):
             continue

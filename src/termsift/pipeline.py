@@ -11,11 +11,18 @@ under ``run_chain``, which every CLI subcommand that reads a corpus calls for a
 prefix of the chain. ``weigh_schemes`` then takes one scheme at a time through
 steps 6-7 and its export, which compute each weight from the index as they read
 its cell, so no weight is stored.
+
+``run_chain`` keeps what steps 1-3 yield in ``termsift.cache``, one entry per
+corpus directory, keyed by everything those steps read: the source of the
+modules they run, the stop-word set, and each document's id and bytes. A run
+on an unchanged corpus reads the entry instead of tokenizing and stemming.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
+import marshal
 import math
 import time
 from collections import Counter
@@ -23,10 +30,9 @@ from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import NamedTuple
 
-from termsift import __version__
+from termsift import __version__, cache, porter, textprep, weighting, wordnet
 from termsift import corpus as corpus_io
 from termsift import report as report_mod
-from termsift import weighting, wordnet
 from termsift.porter import stem as porter_stem
 from termsift.textprep import TermVector, remove_stopwords, tokenize
 
@@ -40,6 +46,14 @@ OUTPUT_NAMES = ("metadata.json",
                 "report.txt", "report.csv", "report.json",
                 *(f"keyterms_{s}.txt" for s in (*weighting.SCHEMES, "joint")),
                 "lexical_categories.tsv")
+_STEPS_1_TO_3 = ("step 1/7: extracting term sets (tokenization)",
+                 "step 2/7: removing stop words",
+                 "step 3/7: applying Porter stemming")
+# The code steps 1-3 run: an edit to any of these files changes the cache key.
+_STEP_SOURCES = (Path(corpus_io.__file__), Path(textprep.__file__), Path(porter.__file__),
+                 Path(__file__))
+# Bump the number when the payload changes; the key covers it.
+_CACHE_TAG = cache.format_tag("corpus", 1)
 
 
 class PipelineConfig(NamedTuple):
@@ -124,9 +138,8 @@ def extract_terms(documents: tuple[corpus_io.Document, ...],
     are logged before the first document. The stemmer is a pure function
     of the word, so a document stems only the surface types no earlier
     one had, into the surface -> stem map step 4 groups per stem."""
-    log.info("step 1/7: extracting term sets (tokenization)")
-    log.info("step 2/7: removing stop words")
-    log.info("step 3/7: applying Porter stemming")
+    for line in _STEPS_1_TO_3:
+        log.info(line)
     stem_of: dict[str, str] = {}
     vectors: list[TermVector] = []
     token_counts: list[int] = []
@@ -142,6 +155,74 @@ def extract_terms(documents: tuple[corpus_io.Document, ...],
         counts = dict(Counter(map(stem_of.__getitem__, tokens)))
         vectors.append(TermVector(doc_id=doc.doc_id, counts=counts))
     return TermVectors(vectors=vectors, stem_of=stem_of, token_counts=token_counts)
+
+
+def _cached_terms(config: PipelineConfig, documents: tuple[corpus_io.Document, ...],
+                  stopwords: corpus_io.StopwordList) -> TermVectors:
+    """Steps 1-3 through the cache: the entry of the corpus directory when it
+    was written under the same key, else ``extract_terms``, whose result is
+    then written."""
+    root = Path(config.corpus_path)
+    path = cache.entry_path("corpus", root)
+    key = None if path is None else _terms_key(documents, stopwords)
+    terms = None if key is None else _cached_vectors(cache.load(path, key), documents)
+    if terms is not None:
+        for line in _STEPS_1_TO_3:
+            log.info(line)
+        log.info("steps 1-3 read from the cache entry %s", path)
+        return terms
+    terms = extract_terms(documents, stopwords)
+    if key is not None:
+        cache.save(path, key, root, marshal.dumps(([v.counts for v in terms.vectors],
+                                                   terms.stem_of, terms.token_counts)))
+    return terms
+
+
+def _terms_key(documents: tuple[corpus_io.Document, ...],
+               stopwords: corpus_io.StopwordList) -> bytes | None:
+    """SHA-256 over the cache format tag, the SHA-256 of each of
+    ``_STEP_SOURCES``, the sorted stop words, and each document's id and the
+    SHA-256 of its bytes, in listing order; strings go in length-prefixed.
+    Reads every document, one at a time. None when a source file cannot be
+    read, so the run goes on uncached."""
+    key = hashlib.sha256(_CACHE_TAG)
+    try:
+        for source in _STEP_SOURCES:
+            key.update(cache.file_digest(source))
+    except OSError as exc:
+        log.info("steps 1-3 not cached: %s", exc)
+        return None
+
+    def add(text: str) -> None:
+        data = text.encode("utf-8", "surrogatepass")  # ids from file names may hold surrogates
+        key.update(len(data).to_bytes(8, "little"))
+        key.update(data)
+
+    key.update(len(stopwords).to_bytes(8, "little"))
+    for word in sorted(stopwords.words):
+        add(word)
+    with _stage_errors("load_corpus"):
+        for doc in documents:
+            add(doc.doc_id)
+            key.update(hashlib.sha256(doc.read_bytes()).digest())
+    return key.digest()
+
+
+def _cached_vectors(value, documents: tuple[corpus_io.Document, ...]) -> TermVectors | None:
+    """The term vectors of ``documents`` in a cache payload, ``marshal.dumps((one
+    stem -> count dict per document, the surface -> stem dict, one token count
+    per document))``, or None when the payload has another shape."""
+    if not (type(value) is tuple and len(value) == 3):
+        return None
+    rows, stem_of, token_counts = value
+    if not (type(rows) is list and type(stem_of) is dict and type(token_counts) is list
+            and len(rows) == len(documents) == len(token_counts)
+            and all(type(row) is dict for row in rows)
+            and all(type(count) is int for count in token_counts)):
+        return None
+    return TermVectors(vectors=[TermVector(doc.doc_id, counts)
+                                for doc, counts in zip(documents, rows)],
+                       stem_of=stem_of, token_counts=token_counts)
 
 
 def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: PipelineConfig
@@ -193,8 +274,9 @@ def run_chain(config: PipelineConfig, last_step: int = 5) -> PipelineResult:
             stopwords = corpus_io.load_stopwords(config.stopword_path)
         else:
             stopwords = corpus_io.default_stopwords()
-    log.info("loaded corpus %s: %d documents; stopword list: %d words",
-             name, len(corpus), len(stopwords))
+    log.info("loaded corpus %s: %d documents; stopword list: %d words, %d of which "
+             "can never match a token", name, len(corpus), len(stopwords),
+             sum(not textprep.is_token(word) for word in stopwords.words))
     db = None
     if last_step == 5 and config.wordnet_policy != "off":
         if config.wordnet_dir is None:
@@ -206,7 +288,7 @@ def run_chain(config: PipelineConfig, last_step: int = 5) -> PipelineResult:
             log.info("loaded WordNet %s: %d lemmas, %d synsets",
                      db.version, db.lemma_count, db.synset_count)
 
-    terms = extract_terms(corpus, stopwords)
+    terms = _cached_terms(config, corpus, stopwords)
     result = PipelineResult(stats=corpus_io.corpus_summary(name, corpus, terms.token_counts),
                             stopwords=stopwords, db=db)
     del corpus  # steps 4-5 read no document

@@ -28,6 +28,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def is_token(word: str) -> bool:
+    """Whether ``word`` has the shape of a token ``tokenize`` yields."""
+    return _TOKEN_RE.fullmatch(word) is not None
+
+
 def remove_stopwords(tokens: Iterable[str], stopwords: StopwordList) -> list[str]:
     words = stopwords.words  # the frozenset itself: one C-level test per token
     return [t for t in tokens if t not in words]

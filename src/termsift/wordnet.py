@@ -17,44 +17,31 @@ lemma (collocations such as ``domestic_dog``, hyphens, digits,
 apostrophes) is held as one marshalled ``bytes`` value, decoded only
 when ``lexical_categories`` is asked for such a word.
 
-A parsed database is cached in ``$XDG_CACHE_HOME/termsift/`` (default
-``~/.cache/termsift/``), one file per database directory, keyed by the
-SHA-256 of the five files' contents; a changed database is parsed and
-checked again. A hit decodes only the token-shaped maps and keeps the
-other lemmas as the bytes it read. Each entry records its database
-directory, and every cache write removes the entries whose directory no
-longer exists. The cache never fails a load: an unreadable, stale or
-corrupt entry counts as a miss, and a failed write or removal is logged
-and ignored.
+A parsed database is cached through ``termsift.cache``, one entry per
+database directory, keyed by the SHA-256 of the five files' contents; a
+changed database is parsed and checked again. A hit decodes only the
+token-shaped maps and keeps the other lemmas as the bytes it read.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import logging
 import marshal
-import os
 import re
-import sys
-import tempfile
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
+from termsift import cache
 from termsift.errors import WordNetFormatError
 
 log = logging.getLogger("termsift.wordnet")
 
 REQUIRED_FILES = ("index.noun", "data.noun", "index.verb", "data.verb", "lexnames")
 
-# Bump when WordNetDb or the cache file layout changes; the key covers it.
-_CACHE_FORMAT = 3
-_CACHE_TAG = (f"termsift wordnet cache {_CACHE_FORMAT}, marshal {marshal.version}, "
-              f"python {sys.version_info[0]}.{sys.version_info[1]}").encode()
-_DIGEST_SIZE = hashlib.sha256().digest_size
-_HASH_CHUNK = 1 << 20
-_PATH_MAX = 4096  # bytes of an entry's recorded directory read when pruning
+# Bump the number when WordNetDb or the cache file layout changes; the key covers it.
+_CACHE_TAG = cache.format_tag("wordnet", 3)
 
 _VERSION_RE = re.compile(r"WordNet\s+(\d+\.\d+)")
 _NO_CATEGORIES: frozenset[str] = frozenset()
@@ -229,22 +216,19 @@ def load_wordnet(directory: str | Path) -> WordNetDb:
         if not (root / name).is_file():
             raise FileNotFoundError(f"missing WordNet database file: {root / name}")
 
-    cache = _cache_path(root)
-    if cache is None:
+    path = cache.entry_path("wordnet", root)
+    if path is None:
         return _parse_wordnet(root)
     key = _content_key(root)
-    db = _read_cache(cache, key)
+    db = _cached_db(cache.load(path, key))
     if db is not None:
-        log.info("WordNet cache hit: %s", cache)
+        log.info("WordNet cache hit: %s", path)
         return db
     db = _parse_wordnet(root)  # raises on a malformed database, before anything is cached
-    try:
-        _write_cache(cache, key, root.resolve(), db)
-    except OSError as exc:
-        log.info("parsed WordNet; cache not written to %s: %s", cache, exc)
-    else:
-        log.info("parsed WordNet and wrote the cache %s", cache)
-    _prune_cache(cache.parent)
+    log.info("parsed WordNet %s", root)
+    # marshal writes each shared category set once and loads it back shared;
+    # the other lemmas' maps are already marshalled bytes
+    cache.save(path, key, root, marshal.dumps(db.astuple()))
     return db
 
 
@@ -265,54 +249,19 @@ def _parse_wordnet(root: Path) -> WordNetDb:
     )
 
 
-def _cache_path(root: Path) -> Path | None:
-    """The cache file of ``root``: one per resolved directory, named by its hash.
-    None when neither $XDG_CACHE_HOME nor the home directory gives an absolute path."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):  # the XDG spec ignores a relative value
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-        if not os.path.isabs(base):
-            return None
-    name = hashlib.sha256(os.fsencode(root.resolve())).hexdigest()[:32]
-    return Path(base) / "termsift" / f"wordnet-{name}.marshal"
-
-
 def _content_key(root: Path) -> bytes:
     """SHA-256 over the cache format tag and each required file's own SHA-256."""
     key = hashlib.sha256(_CACHE_TAG)
     for name in REQUIRED_FILES:
-        digest = hashlib.sha256()
-        with (root / name).open("rb") as f:
-            while chunk := f.read(_HASH_CHUNK):
-                digest.update(chunk)
-        key.update(digest.digest())
+        key.update(cache.file_digest(root / name))
     return key.digest()
 
 
-def _read_cache(path: Path, key: bytes) -> WordNetDb | None:
-    """The cached database if ``path`` holds one under ``key`` intact, else None.
-
-    File layout: the key, the SHA-256 of the rest, then the rest: the
-    database directory's resolved path, a NUL byte and the payload,
-    ``marshal.dumps((noun, verb, other_lemmas, lemma_count, synset_count,
-    version))``. ``other_lemmas`` stays bytes: it is not decoded here."""
-    try:
-        blob = path.read_bytes()
-    except OSError:
-        return None
-    head = 2 * _DIGEST_SIZE
-    rest = memoryview(blob)[head:]  # views, not second copies of the payload
-    if (blob[:_DIGEST_SIZE] != key
-            or blob[_DIGEST_SIZE:head] != hashlib.sha256(rest).digest()):
-        return None
-    end = blob.find(b"\0", head)
-    if end < 0:
-        return None
-    payload = rest[end + 1 - head:]
-    try:
-        value = marshal.loads(payload)
-    except (EOFError, ValueError, TypeError):
-        return None
+def _cached_db(value) -> WordNetDb | None:
+    """The database in a cache payload, ``marshal.dumps((noun, verb,
+    other_lemmas, lemma_count, synset_count, version))``, or None when the
+    payload has another shape. ``other_lemmas`` stays bytes: it is not
+    decoded here."""
     if not (isinstance(value, tuple) and len(value) == 6):
         return None
     noun, verb, other_lemmas, lemma_count, synset_count, version = value
@@ -321,53 +270,6 @@ def _read_cache(path: Path, key: bytes) -> WordNetDb | None:
             and type(synset_count) is int and isinstance(version, str)):
         return None
     return WordNetDb(*value)
-
-
-def _write_cache(path: Path, key: bytes, source: Path, db: WordNetDb) -> None:
-    """Write the entry of the database in ``source`` to a temporary file beside
-    ``path`` and rename it into place, so a reader sees the old entry or the
-    whole new one."""
-    path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            # marshal writes each shared category set once and loads it back
-            # shared; the other lemmas' maps are already marshalled bytes
-            payload = marshal.dumps(db.astuple())
-            recorded = os.fsencode(source) + b"\0"
-            digest = hashlib.sha256(recorded)
-            digest.update(payload)
-            f.write(key)
-            f.write(digest.digest())
-            f.write(recorded)
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-def _prune_cache(cache_dir: Path) -> None:
-    """Remove the entries whose recorded database directory no longer exists;
-    an entry that cannot be read or removed is logged and left."""
-    try:
-        entries = sorted(cache_dir.glob("wordnet-*.marshal"))
-    except OSError as exc:
-        log.info("WordNet cache %s not pruned: %s", cache_dir, exc)
-        return
-    for entry in entries:
-        try:
-            with entry.open("rb") as f:
-                head = f.read(2 * _DIGEST_SIZE + _PATH_MAX)
-            source, nul, _ = head[2 * _DIGEST_SIZE:].partition(b"\0")
-            # an entry of an older layout records no directory, so it is left
-            if nul and os.path.isabs(source) and not os.path.isdir(source):
-                entry.unlink()
-                log.info("removed the WordNet cache entry %s of the deleted database %s",
-                         entry, os.fsdecode(source))
-        except OSError as exc:
-            log.info("WordNet cache entry %s not pruned: %s", entry, exc)
 
 
 def _categories_for(db: WordNetDb, word: str) -> frozenset[str]:

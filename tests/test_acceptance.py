@@ -373,6 +373,19 @@ class TestC8StageLogging:
         prefixes = [m.split(":")[0] for m in steps]
         assert prefixes == [f"step {i}/7" for i in range(1, 8)]
 
+    def test_seven_stages_in_order_cold_and_warm(self, minicorpus_dir, wordnet_dir, tmp_path,
+                                                caplog, monkeypatch):
+        # the second run reads steps 1-3 from the corpus cache and logs them alike
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        for run in ("cold", "warm"):
+            caplog.clear()
+            messages = self._messages(caplog, minicorpus_dir, wordnet_dir,
+                                      out_dir=tmp_path / run)
+            prefixes = [m.split(":")[0] for m in messages if m.startswith("step ")]
+            assert prefixes == [f"step {i}/7" for i in range(1, 8)], run
+            assert any(m.startswith("steps 1-3 read from the cache entry ")
+                       for m in messages) == (run == "warm")
+
     def test_stage_four_skipped_when_disabled(self, minicorpus_dir, tmp_path, caplog):
         messages = self._messages(caplog, minicorpus_dir, None,
                                   out_dir=tmp_path / "out", wordnet_policy="off")

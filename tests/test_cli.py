@@ -102,6 +102,15 @@ class TestPreprocess:
         # with the one-word custom list, "the"/"and" survive
         assert any(",the," in l for l in out_custom.splitlines())
 
+    def test_invalid_utf8_stopword_file_names_file_line_and_stage(self, capsys, corpus,
+                                                                  tmp_path):
+        sw = tmp_path / "sw.txt"
+        sw.write_bytes(b"the\n\xff\xfeand\n")
+        code, out, err = run(capsys, "preprocess", str(corpus), "--layout",
+                             "class-subdirectories", "--stopwords", str(sw))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"termsift: error: stage load_stopwords: {sw}:2: not valid UTF-8\n"
+
     def test_document_ids_are_quoted(self, capsys, tmp_path):
         root = tmp_path / "flat"
         root.mkdir()
@@ -214,6 +223,28 @@ class TestValidation:
     def test_unreadable_document_names_file_line_and_stage(self, capsys, tmp_path,
                                                            monkeypatch, command):
         root = self.unreadable_manifest_corpus(tmp_path, monkeypatch)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, command, str(root), "--layout", "manifest-file",
+                             "--out", str(out_dir))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith(f"termsift: error: stage load_corpus: {root / 'manifest.tsv'}:2: "
+                              f"cannot read document file {root / 'b.txt'}: "
+                              "[Errno 13] Permission denied: ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "select"])
+    def test_unreadable_document_fails_alike_with_a_warm_cache(self, capsys, tmp_path,
+                                                               monkeypatch, command):
+        # the cache key reads every document, so a run that could read the
+        # corpus's cache entry still fails on the document it cannot read
+        from termsift import corpus as corpus_mod
+
+        root = self.unreadable_manifest_corpus(tmp_path, monkeypatch)
+        failing_open = corpus_mod.open
+        monkeypatch.setattr(corpus_mod, "open", open, raising=False)
+        assert run(capsys, "preprocess", str(root), "--layout", "manifest-file")[0] == EXIT_OK
+        monkeypatch.setattr(corpus_mod, "open", failing_open, raising=False)
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, command, str(root), "--layout", "manifest-file",
                              "--out", str(out_dir))

@@ -106,14 +106,14 @@ class TestLoadCorpus:
         assert [d.doc_id for d in load_corpus(tmp_path, "manifest-file")] == ["d"]
 
     @pytest.mark.parametrize("relpath, error, problem", [
-        (".", CorpusFormatError, "{root} is not a regular file"),
+        (".", CorpusFormatError, "{root}/. is not a regular file"),
         ("..", CorpusFormatError, "{root}/.. is not a regular file"),
-        ("sub/", CorpusFormatError, "{root}/sub is not a regular file"),
-        ("a.txt/", OSError, "cannot read document file {root}/a.txt: "
+        ("sub/", CorpusFormatError, "{root}/sub/ is not a regular file"),
+        ("a.txt/", OSError, "cannot read document file {root}/a.txt/: "
                             "[Errno 20] Not a directory: '{root}/a.txt/'"),
-        ("a.txt/.", OSError, "cannot read document file {root}/a.txt: "
+        ("a.txt/.", OSError, "cannot read document file {root}/a.txt/.: "
                              "[Errno 20] Not a directory: '{root}/a.txt/.'"),
-        ("a.txt//", OSError, "cannot read document file {root}/a.txt: "
+        ("a.txt//", OSError, "cannot read document file {root}/a.txt//: "
                              "[Errno 20] Not a directory: '{root}/a.txt//'"),
         ("a.txt/../a.txt", OSError, "cannot read document file {root}/a.txt/../a.txt: "
                                     "[Errno 20] Not a directory: '{root}/a.txt/../a.txt'"),
@@ -342,6 +342,26 @@ class TestStopwords:
         assert all(w == w.lower() and " " not in w for w in sw.words)
         assert "the" in sw.words
         assert len(sw.sha256) == 64
+
+    def test_default_list_is_pinned(self):
+        # what every run's metadata.json records of the bundled list
+        sw = default_stopwords()
+        assert len(sw) == 574
+        assert sw.sha256 == "a3515563fb6a3e59f344dbb9ad57a109b025d232793cf881ac1d3ba1229a004d"
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff\xfeand\n", 1),
+        (b"the\nof\n\xff\xfeand\n", 3),
+        (b"the\r\nof\r\n\xff\xfeand", 3),
+        (b"# comment\n\nthe and\xe9\n", 3),
+        (b"the\rof\r\xff", 3),
+    ], ids=["first-line", "third-line", "crlf-last-line", "mid-line", "cr-endings"])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, data, line):
+        path = tmp_path / "sw.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            load_stopwords(path)
+        assert str(exc.value) == f"{path}:{line}: not valid UTF-8"
 
 
 class TestSummary:

@@ -382,6 +382,14 @@ class TestStageLog:
                      "step 6/7", "step 7/7"):
             assert step in messages
 
+    def test_stop_words_that_match_no_token_are_counted(self, corpus, tmp_path, caplog):
+        sw = tmp_path / "sw.txt"
+        sw.write_text("the\na\ndon't\nx1\nwheat\n", encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="termsift.pipeline"):
+            run_chain(config_for(corpus, tmp_path, stopword_path=str(sw)), last_step=3)
+        assert ("loaded corpus corpus: 4 documents; stopword list: 5 words, 3 of which "
+                "can never match a token") in caplog.messages
+
     def test_vocab_before_after_logged(self, corpus, tmp_path, wordnet_dir, caplog):
         with caplog.at_level(logging.INFO, logger="termsift.pipeline"):
             run_pipeline(config_for(corpus, tmp_path, wordnet_dir=str(wordnet_dir)))

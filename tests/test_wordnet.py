@@ -4,6 +4,7 @@ import marshal
 import os
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from wn_fixture import SYNSETS
 
+from termsift import cache as cache_mod
 from termsift import porter, wordnet
 from termsift.cli import main
 from termsift.errors import WordNetFormatError
@@ -218,6 +220,20 @@ class TestCache:
         sets = [*second.noun.values(), *second.verb.values()]
         assert len({id(c) for c in sets}) == len(set(sets))  # equal sets stay one object
 
+    def test_format_3_entry_is_a_hit(self, db_dir, tmp_path, monkeypatch):
+        # the layout every entry since format 3 has, built here by hand
+        parsed = load_wordnet(db_dir)
+        [entry] = self.entries(tmp_path)
+        tag = (f"termsift wordnet cache 3, marshal {marshal.version}, "
+               f"python {sys.version_info[0]}.{sys.version_info[1]}").encode()
+        key = hashlib.sha256(tag)
+        for name in REQUIRED_FILES:
+            key.update(hashlib.sha256((db_dir / name).read_bytes()).digest())
+        rest = os.fsencode(db_dir.resolve()) + b"\0" + marshal.dumps(parsed.astuple())
+        assert entry.read_bytes() == key.digest() + hashlib.sha256(rest).digest() + rest
+        self.forbid_parse(monkeypatch)
+        assert load_wordnet(db_dir) == parsed
+
     def test_edited_database_is_checked_again(self, db_dir, tmp_path):
         load_wordnet(db_dir)
         index = db_dir / "index.noun"
@@ -313,16 +329,17 @@ class TestCache:
         elif blocker == "no-permission":  # what a read-only directory gives a non-root user
             def refuse(*_, **__):
                 raise PermissionError(13, "Permission denied")
-            monkeypatch.setattr(wordnet.tempfile, "mkstemp", refuse)
+            monkeypatch.setattr(cache_mod.tempfile, "mkstemp", refuse)
         else:
             cache.mkdir(parents=True)
-            (cache / wordnet._cache_path(db_dir).name).mkdir()
-        with caplog.at_level(logging.INFO, logger="termsift.wordnet"):
+            (cache / cache_mod.entry_path("wordnet", db_dir).name).mkdir()
+        with caplog.at_level(logging.INFO, logger="termsift.cache"):
             assert load_wordnet(db_dir).synset_count == 45
             assert load_wordnet(db_dir).synset_count == 45
         assert sum("cache not written" in m for m in caplog.messages) == 2
         if blocker == "entry-is-directory":
-            assert [p.name for p in cache.iterdir()] == [wordnet._cache_path(db_dir).name]
+            assert [p.name for p in cache.iterdir()] == [
+                cache_mod.entry_path("wordnet", db_dir).name]
 
     def test_entries_of_deleted_databases_are_removed(self, db_dir, tmp_path, caplog):
         b_dir, c_dir = (shutil.copytree(db_dir, tmp_path / name) for name in ("b", "c"))
@@ -332,9 +349,10 @@ class TestCache:
         unreadable.mkdir()
         assert len(self.entries(tmp_path)) == 3
         shutil.rmtree(db_dir)
-        with caplog.at_level(logging.INFO, logger="termsift.wordnet"):
+        with caplog.at_level(logging.INFO, logger="termsift.cache"):
             load_wordnet(c_dir)
-        kept = sorted([unreadable.name, *(wordnet._cache_path(d).name for d in (b_dir, c_dir))])
+        kept = sorted([unreadable.name,
+                       *(cache_mod.entry_path("wordnet", d).name for d in (b_dir, c_dir))])
         assert [p.name for p in self.entries(tmp_path)] == kept
         # the entry that cannot be read is logged and left; the load still succeeds
         assert sum("wordnet-unreadable.marshal not pruned" in m for m in caplog.messages) == 1
@@ -344,7 +362,7 @@ class TestCache:
             raise FileNotFoundError(2, "No such file or directory")
 
         monkeypatch.setattr(wordnet.Path, "glob", vanished)
-        with caplog.at_level(logging.INFO, logger="termsift.wordnet"):
+        with caplog.at_level(logging.INFO, logger="termsift.cache"):
             assert load_wordnet(db_dir).synset_count == 45
         assert any(m.endswith("not pruned: [Errno 2] No such file or directory")
                    for m in caplog.messages)
@@ -588,7 +606,7 @@ class TestPinnedOutputs:
         if cache == "no-cache":  # no absolute cache directory, so every load parses
             monkeypatch.setenv("XDG_CACHE_HOME", "relative")
             monkeypatch.setenv("HOME", "relative")
-            assert wordnet._cache_path(wordnet_dir) is None
+            assert cache_mod.entry_path("wordnet", wordnet_dir) is None
         else:
             monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
             if cache == "warm":

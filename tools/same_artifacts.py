@@ -49,11 +49,14 @@ always differs. The cases:
   that holds ``gamma = nan``
 
 Both trees read the same inputs, taken from this checkout, and each
-runs with a fresh temporary ``XDG_CACHE_HOME``, so the WordNet cache of
-the user is neither read nor written. Each case that reads a WordNet
-database runs twice in this checkout, first with an empty cache (the
-database is parsed and the cache written) and then with the cache
-warm, and both runs are compared with the old tree's.
+runs with a fresh temporary ``XDG_CACHE_HOME``, so the cache of the user
+is neither read nor written. Each case that reads a corpus's terms
+(``select``, ``weigh``, ``preprocess``) or a WordNet database runs twice
+in this checkout, first with an empty cache (steps 1-3 run, the database
+is parsed, and each writes its cache entry) and then with the cache
+warm, and both runs are compared with the old tree's. A cold run that
+exits 0 without writing the corpus entry, or the WordNet entry of a
+case that names a database, differs.
 
 Prints one line per comparison, naming for each case that differs the
 first file (or the exit code, output or error) that does. Runs every
@@ -79,6 +82,7 @@ from wn_fixture import SYNSETS, build_wordnet_dir  # noqa: E402
 
 SEED = 301
 EXEMPT = {"metadata.json"}
+CORPUS_COMMANDS = ("select", "weigh", "preprocess")  # the commands that run steps 1-3
 LEX_SAMPLE = 12  # lemmas of each kind taken from the wordnet-short database
 STEM_WORDS = 3000  # generated words the seeded ``stem`` case stems
 
@@ -243,6 +247,12 @@ def first_difference(old: subprocess.CompletedProcess, new: subprocess.Completed
     return None
 
 
+def cached_kinds(args: list[str]) -> list[str]:
+    """The kinds of cache entry a run of ``args`` that exits 0 writes when cold."""
+    kinds = ["corpus"] if args[0] in CORPUS_COMMANDS else []
+    return kinds + ["wordnet"] if "--wordnet-dir" in args else kinds
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_tree", type=Path, help="checkout to compare this one against")
@@ -258,15 +268,18 @@ def main() -> int:
             old = run_cli(old_tree, args, old_cwd, work / f"{i}-old-cache")
             # a fresh cache per case, so the first run here is always cold
             new_cache = work / f"{i}-new-cache"
-            passes = ("cold cache", "warm cache") if "--wordnet-dir" in args else (None,)
+            kinds = cached_kinds(args)
+            passes = ("cold cache", "warm cache") if kinds else (None,)
             for n, cache_state in enumerate(passes):
                 new_cwd = work / f"{i}-new-{n}"
                 new = run_cli(ROOT, args, new_cwd, new_cache)
                 label = name if cache_state is None else f"{name}, {cache_state}"
                 diff = first_difference(old, new, old_cwd / "out", new_cwd / "out")
-                if (diff is None and cache_state == "cold cache"
-                        and not any(p.is_file() for p in new_cache.rglob("*"))):
-                    diff = "no WordNet cache written"
+                missing = [kind for kind in kinds
+                           if not any(new_cache.glob(f"termsift/{kind}-*.marshal"))]
+                if (diff is None and cache_state == "cold cache" and new.returncode == 0
+                        and missing):
+                    diff = f"no {' or '.join(missing)} cache entry written"
                 compared += 1
                 if diff is None:
                     print(f"same: {label} (exit {new.returncode})")
