@@ -53,7 +53,12 @@ class Document(NamedTuple):
                           f"{os.path.join(self.root, self.relpath)}: {exc}") from exc
 
     def read(self) -> str:
-        return self.read_bytes().decode("utf-8", errors="replace")
+        return self.decode(self.read_bytes())
+
+    @staticmethod
+    def decode(data: bytes) -> str:
+        """A document's text: its bytes as UTF-8, each invalid byte read as U+FFFD."""
+        return data.decode("utf-8", errors="replace")
 
 
 class StopwordList:

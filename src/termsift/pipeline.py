@@ -50,6 +50,10 @@ _STEPS_1_TO_3 = ("step 1/7: extracting term sets (tokenization)",
                  "step 2/7: removing stop words",
                  "step 3/7: applying Porter stemming")
 # The code steps 1-3 run: an edit to any of these files changes the cache key.
+# All of pipeline.py is covered, though steps 4-7 live here too: extract_terms,
+# its stage errors and the entry's payload shape are here, and extract_terms
+# cannot move, since perfbench/child.py traces steps 1-3 by replacing tokenize,
+# remove_stopwords and porter_stem by their names in this module.
 _STEP_SOURCES = (Path(corpus_io.__file__), Path(textprep.__file__), Path(porter.__file__),
                  Path(__file__))
 # Bump the number when the payload changes; the key covers it.
@@ -161,30 +165,43 @@ def _cached_terms(config: PipelineConfig, documents: tuple[corpus_io.Document, .
                   stopwords: corpus_io.StopwordList) -> TermVectors:
     """Steps 1-3 through the cache: the entry of the corpus directory when it
     was written under the same key, else ``extract_terms``, whose result is
-    then written."""
+    then written.
+
+    The key covers each document's bytes, so telling a hit needs them all
+    before step 1. A miss then reads each document again in
+    ``extract_terms``, and its entry is keyed by the bytes of that second
+    read, the ones its terms came from: a document edited between the two
+    reads is saved under its new content, never its old. With no entry file
+    there is nothing to hit, so the first pass is skipped."""
     root = Path(config.corpus_path)
     path = cache.entry_path("corpus", root)
-    key = None if path is None else _terms_key(documents, stopwords)
-    terms = None if key is None else _cached_vectors(cache.load(path, key), documents)
-    if terms is not None:
-        for line in _STEPS_1_TO_3:
-            log.info(line)
-        log.info("steps 1-3 read from the cache entry %s", path)
-        return terms
-    terms = extract_terms(documents, stopwords)
-    if key is not None:
-        cache.save(path, key, root, marshal.dumps(([v.counts for v in terms.vectors],
-                                                   terms.stem_of, terms.token_counts)))
+    prefix = None if path is None else _key_prefix(stopwords)
+    if prefix is None:
+        return extract_terms(documents, stopwords)
+    if path.is_file():
+        key = prefix.copy()
+        with _stage_errors("load_corpus"):
+            for doc in documents:
+                _add_document(key, doc.doc_id, doc.read_bytes())
+        terms = _cached_vectors(cache.load(path, key.digest()), documents)
+        if terms is not None:
+            for line in _STEPS_1_TO_3:
+                log.info(line)
+            log.info("steps 1-3 read from the cache entry %s", path)
+            return terms
+    key = prefix.copy()
+    terms = extract_terms(tuple(_KeyedDocument(doc, key) for doc in documents), stopwords)
+    cache.save(path, key.digest(), root, marshal.dumps(([v.counts for v in terms.vectors],
+                                                        terms.stem_of, terms.token_counts)))
     return terms
 
 
-def _terms_key(documents: tuple[corpus_io.Document, ...],
-               stopwords: corpus_io.StopwordList) -> bytes | None:
-    """SHA-256 over the cache format tag, the SHA-256 of each of
-    ``_STEP_SOURCES``, the sorted stop words, and each document's id and the
-    SHA-256 of its bytes, in listing order; strings go in length-prefixed.
-    Reads every document, one at a time. None when a source file cannot be
-    read, so the run goes on uncached."""
+def _key_prefix(stopwords: corpus_io.StopwordList):
+    """A SHA-256 object over what every corpus key starts with: the cache
+    format tag, the SHA-256 of each of ``_STEP_SOURCES`` and the sorted stop
+    words. ``_add_document`` then adds each document's id and the SHA-256 of
+    its bytes, in listing order; strings go in length-prefixed. None when a
+    source file cannot be read, so the run goes on uncached."""
     key = hashlib.sha256(_CACHE_TAG)
     try:
         for source in _STEP_SOURCES:
@@ -192,20 +209,39 @@ def _terms_key(documents: tuple[corpus_io.Document, ...],
     except OSError as exc:
         log.info("steps 1-3 not cached: %s", exc)
         return None
-
-    def add(text: str) -> None:
-        data = text.encode("utf-8", "surrogatepass")  # ids from file names may hold surrogates
-        key.update(len(data).to_bytes(8, "little"))
-        key.update(data)
-
     key.update(len(stopwords).to_bytes(8, "little"))
     for word in sorted(stopwords.words):
-        add(word)
-    with _stage_errors("load_corpus"):
-        for doc in documents:
-            add(doc.doc_id)
-            key.update(hashlib.sha256(doc.read_bytes()).digest())
-    return key.digest()
+        _add_text(key, word)
+    return key
+
+
+def _add_text(key, text: str) -> None:
+    data = text.encode("utf-8", "surrogatepass")  # ids from file names may hold surrogates
+    key.update(len(data).to_bytes(8, "little"))
+    key.update(data)
+
+
+def _add_document(key, doc_id: str, data: bytes) -> None:
+    _add_text(key, doc_id)
+    key.update(hashlib.sha256(data).digest())
+
+
+class _KeyedDocument(NamedTuple):
+    """A listed document whose ``read`` also adds it to a corpus ``key``, as
+    ``_add_document`` does, so the key covers the bytes ``extract_terms``
+    decoded."""
+
+    doc: corpus_io.Document
+    key: object  # a hashlib SHA-256 object
+
+    @property
+    def doc_id(self) -> str:
+        return self.doc.doc_id
+
+    def read(self) -> str:
+        data = self.doc.read_bytes()
+        _add_document(self.key, self.doc.doc_id, data)
+        return self.doc.decode(data)
 
 
 def _cached_vectors(value, documents: tuple[corpus_io.Document, ...]) -> TermVectors | None:

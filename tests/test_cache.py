@@ -19,6 +19,7 @@ from termsift.pipeline import PipelineConfig, extract_terms, run_chain
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import gen  # noqa: E402
+import oracle  # noqa: E402
 import run as perfbench  # noqa: E402
 
 SEED = 301
@@ -104,6 +105,23 @@ def test_outputs_are_identical_cold_and_warm(capsys, mini, tmp_path, extracted, 
     assert outputs[0] == outputs[1]
 
 
+def test_warm_select_agrees_with_the_oracle(capsys, workloads, tmp_path, extracted):
+    """The zipf-select workload's select, cold then warm, each checked by
+    perfbench's oracle as ``perfbench/run.py`` checks a run's first select."""
+    root, _ = workloads["zipf-select"]
+    workload = perfbench.WORKLOADS["zipf-select"]
+    exp = oracle.expected(root.parent / "tokens.tsv", workload.thresholds,
+                          workload.aggregation, workload.min_count)
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        assert main(perfbench.termsift_args("select", root, workload, out, None)) == 0
+        problems, _ = oracle.check_select(out, exp, workload.thresholds,
+                                          workload.matrix_format)
+        assert problems == [], run
+    assert len(extracted) == 1
+    capsys.readouterr()
+
+
 def edit_a_byte(root: Path) -> None:
     path = root / "grainfarm" / "doc03.txt"
     data = bytearray(path.read_bytes())
@@ -174,6 +192,49 @@ def test_a_change_misses_and_equals_a_cold_run(mini, tmp_path, cache_dir, monkey
     assert_identical(chain_terms(mini, **kw), expected)
     assert len(extracted) == 2
     assert_identical(chain_terms(mini, **kw), expected)  # the rewritten entry hits
+    assert len(extracted) == 2
+
+
+def test_a_document_edited_between_the_two_reads_is_keyed_by_what_was_read_last(
+        mini, monkeypatch, extracted):
+    """A miss keys its entry by the bytes its terms came from, so a document
+    edited after the hashing pass and then changed back does not hit."""
+    chain_terms(mini)  # an entry exists, so the next run hashes every document first
+    edit_a_byte(mini)
+    doc = mini / "grainfarm" / "doc03.txt"
+    hashed = doc.read_bytes()
+    spy = pipeline.extract_terms
+
+    def edit_then_extract(documents, stopwords):
+        doc.write_bytes(hashed + b" harvest harvest\n")
+        return spy(documents, stopwords)
+
+    monkeypatch.setattr(pipeline, "extract_terms", edit_then_extract)
+    assert_identical(chain_terms(mini), uncached_terms(mini))
+    monkeypatch.setattr(pipeline, "extract_terms", spy)
+    doc.write_bytes(hashed)  # back to the bytes the hashing pass read
+    assert_identical(chain_terms(mini), uncached_terms(mini))
+    assert len(extracted) == 3
+
+
+def test_documents_are_read_once_unless_a_stale_entry_exists(mini, monkeypatch, extracted):
+    """No entry: one read per document, keyed as it goes. A hit: one read.
+    A stale entry: the hashing pass, then ``extract_terms``'s read."""
+    reads = []
+    read_bytes = pipeline.corpus_io.Document.read_bytes
+
+    def counted(doc):
+        reads.append(doc.doc_id)
+        return read_bytes(doc)
+
+    monkeypatch.setattr(pipeline.corpus_io.Document, "read_bytes", counted)
+    n = len(load_corpus(mini, "class-subdirectories"))
+    for change, runs in ((None, 1), (None, 1), (edit_a_byte, 2)):
+        if change:
+            change(mini)
+        reads.clear()
+        assert_identical(chain_terms(mini), uncached_terms(mini))
+        assert len(reads) == runs * n + n  # uncached_terms reads each one more time
     assert len(extracted) == 2
 
 
