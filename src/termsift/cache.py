@@ -5,9 +5,12 @@ one file per kind and source directory: ``<kind>-<hash of the resolved
 directory>.marshal``, each write replacing that directory's last entry.
 An entry is the caller's key, the SHA-256 of the rest, then the rest:
 the resolved source directory, a NUL byte and the payload,
-``marshal.dumps(value)``. The caller's key covers everything the value
-was computed from, plus ``format_tag`` of its kind, so a changed input,
-layout or interpreter misses.
+``marshal.dumps(value)``. ``keyed_entry`` starts every key: the kind,
+the marshal format and Python version, and the source of this module and
+of the caller's modules that write and read the payload; the caller then
+adds everything the value was computed from. So a changed input, layout,
+payload shape or interpreter misses, and a hit holds the shape its
+reader expects.
 
 The cache never fails a run: an unreadable, stale or corrupt entry reads
 as a miss, and a failed write or removal is logged and ignored. Every
@@ -34,11 +37,25 @@ _HASH_CHUNK = 1 << 20
 _PATH_MAX = 4096  # bytes of an entry's recorded directory read when pruning
 
 
-def format_tag(kind: str, number: int) -> bytes:
-    """The start of every ``kind`` key: its format ``number`` (bumped when the
-    payload changes) and the marshal format and Python version that wrote it."""
-    return (f"termsift {kind} cache {number}, marshal {marshal.version}, "
-            f"python {sys.version_info[0]}.{sys.version_info[1]}").encode()
+def keyed_entry(kind: str, directory: Path, sources: tuple[Path, ...]):
+    """The entry of ``kind`` for ``directory`` and a SHA-256 object over what
+    every ``kind`` key starts with: the kind, the marshal format and Python
+    version, and the SHA-256 of this module and of each of ``sources``, the
+    code that writes and reads the payload. None, logged, when there is no
+    cache directory or a source cannot be read: the caller runs uncached."""
+    path = entry_path(kind, directory)
+    if path is None:
+        log.info("%s not cached: no absolute cache directory", kind)
+        return None
+    key = hashlib.sha256(f"termsift {kind} cache, marshal {marshal.version}, python "
+                         f"{sys.version_info[0]}.{sys.version_info[1]}".encode())
+    try:
+        for source in (Path(__file__), *sources):
+            key.update(file_digest(source))
+    except OSError as exc:
+        log.info("%s not cached: %s", kind, exc)
+        return None
+    return path, key
 
 
 def file_digest(path: str | Path) -> bytes:
@@ -64,8 +81,7 @@ def entry_path(kind: str, directory: Path) -> Path | None:
 
 
 def load(path: Path, key: bytes) -> Any:
-    """The value ``path`` holds under ``key`` if it is intact, else None.
-    The caller checks the value's shape."""
+    """The value ``path`` holds under ``key`` if it is intact, else None."""
     try:
         blob = path.read_bytes()
     except OSError:

@@ -12,7 +12,9 @@ Options can come from a flat key=value config file (``--config``); flags
 win over the file. The WordNet directory falls back to $WNSEARCHDIR when
 no flag or config key names it; an empty value counts as none.
 
-Exit codes: 0 success, 1 usage error, 2 input data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 input data error, 3 internal error,
+141 (128 + SIGPIPE, as a shell reports for ``cat``) when standard output is
+closed before the output is written, e.g. by ``| head -1``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 WORDNET_ENV = "WNSEARCHDIR"
 
@@ -245,7 +248,16 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; as the signal module's docs advise, point stdout
+        # at devnull, so the flush at exit neither fails nor prints
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _UsageExit as exc:
         print(f"termsift: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

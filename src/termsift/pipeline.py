@@ -14,8 +14,9 @@ its cell, so no weight is stored.
 
 ``run_chain`` keeps what steps 1-3 yield in ``termsift.cache``, one entry per
 corpus directory, keyed by everything those steps read: the source of the
-modules they run, the stop-word set, and each document's id and bytes. A run
-on an unchanged corpus reads the entry instead of tokenizing and stemming.
+modules they run (and of ``termsift.cache``), the stop-word set, and each
+document's id and bytes. A run on an unchanged corpus reads the entry instead
+of tokenizing and stemming.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import hashlib
 import logging
 import marshal
 import math
+import os
 import time
 from collections import Counter
 from contextlib import contextmanager, suppress
@@ -56,8 +58,6 @@ _STEPS_1_TO_3 = ("step 1/7: extracting term sets (tokenization)",
 # remove_stopwords and porter_stem by their names in this module.
 _STEP_SOURCES = (Path(corpus_io.__file__), Path(textprep.__file__), Path(porter.__file__),
                  Path(__file__))
-# Bump the number when the payload changes; the key covers it.
-_CACHE_TAG = cache.format_tag("corpus", 1)
 
 
 class PipelineConfig(NamedTuple):
@@ -134,14 +134,15 @@ def _stage_errors(name: str):
 
 
 def extract_terms(documents: tuple[corpus_io.Document, ...],
-                  stopwords: corpus_io.StopwordList) -> TermVectors:
+                  stopwords: corpus_io.StopwordList, key=None) -> TermVectors:
     """Steps 1-3: read, tokenize, drop stop words (matched on surface forms), stem.
 
     Each document is read and goes through all three steps before the next,
     so only one document's text and tokens exist at a time; the three step lines
     are logged before the first document. The stemmer is a pure function
     of the word, so a document stems only the surface types no earlier
-    one had, into the surface -> stem map step 4 groups per stem."""
+    one had, into the surface -> stem map step 4 groups per stem. Given a
+    corpus cache ``key``, each document's id and bytes go into it as read."""
     for line in _STEPS_1_TO_3:
         log.info(line)
     stem_of: dict[str, str] = {}
@@ -149,8 +150,10 @@ def extract_terms(documents: tuple[corpus_io.Document, ...],
     token_counts: list[int] = []
     for doc in documents:
         with _stage_errors("load_corpus"):
-            text = doc.read()
-        tokens = tokenize(text)
+            data = doc.read_bytes()
+        if key is not None:
+            _add_document(key, doc.doc_id, data)
+        tokens = tokenize(doc.decode(data))
         token_counts.append(len(tokens))
         tokens = remove_stopwords(tokens, stopwords)
         for token in set(tokens).difference(stem_of):
@@ -165,7 +168,8 @@ def _cached_terms(config: PipelineConfig, documents: tuple[corpus_io.Document, .
                   stopwords: corpus_io.StopwordList) -> TermVectors:
     """Steps 1-3 through the cache: the entry of the corpus directory when it
     was written under the same key, else ``extract_terms``, whose result is
-    then written.
+    then written. The payload is ``marshal.dumps((one stem -> count dict per
+    document, the surface -> stem dict, one token count per document))``.
 
     The key covers each document's bytes, so telling a hit needs them all
     before step 1. A miss then reads each document again in
@@ -174,45 +178,31 @@ def _cached_terms(config: PipelineConfig, documents: tuple[corpus_io.Document, .
     reads is saved under its new content, never its old. With no entry file
     there is nothing to hit, so the first pass is skipped."""
     root = Path(config.corpus_path)
-    path = cache.entry_path("corpus", root)
-    prefix = None if path is None else _key_prefix(stopwords)
-    if prefix is None:
+    entry = cache.keyed_entry("corpus", root, _STEP_SOURCES)
+    if entry is None:
         return extract_terms(documents, stopwords)
-    if path.is_file():
-        key = prefix.copy()
-        with _stage_errors("load_corpus"):
-            for doc in documents:
-                _add_document(key, doc.doc_id, doc.read_bytes())
-        terms = _cached_vectors(cache.load(path, key.digest()), documents)
-        if terms is not None:
-            for line in _STEPS_1_TO_3:
-                log.info(line)
-            log.info("steps 1-3 read from the cache entry %s", path)
-            return terms
-    key = prefix.copy()
-    terms = extract_terms(tuple(_KeyedDocument(doc, key) for doc in documents), stopwords)
-    cache.save(path, key.digest(), root, marshal.dumps(([v.counts for v in terms.vectors],
-                                                        terms.stem_of, terms.token_counts)))
-    return terms
-
-
-def _key_prefix(stopwords: corpus_io.StopwordList):
-    """A SHA-256 object over what every corpus key starts with: the cache
-    format tag, the SHA-256 of each of ``_STEP_SOURCES`` and the sorted stop
-    words. ``_add_document`` then adds each document's id and the SHA-256 of
-    its bytes, in listing order; strings go in length-prefixed. None when a
-    source file cannot be read, so the run goes on uncached."""
-    key = hashlib.sha256(_CACHE_TAG)
-    try:
-        for source in _STEP_SOURCES:
-            key.update(cache.file_digest(source))
-    except OSError as exc:
-        log.info("steps 1-3 not cached: %s", exc)
-        return None
+    path, key = entry  # then the stop words, and each document's id and bytes
     key.update(len(stopwords).to_bytes(8, "little"))
     for word in sorted(stopwords.words):
         _add_text(key, word)
-    return key
+    if os.path.isfile(path):  # Path.is_file raises on EACCES before Python 3.12
+        probe = key.copy()
+        with _stage_errors("load_corpus"):
+            for doc in documents:
+                _add_document(probe, doc.doc_id, doc.read_bytes())
+        value = cache.load(path, probe.digest())
+        if value is not None:
+            for line in _STEPS_1_TO_3:
+                log.info(line)
+            log.info("steps 1-3 read from the cache entry %s", path)
+            rows, stem_of, token_counts = value
+            return TermVectors([TermVector(doc.doc_id, counts)
+                                for doc, counts in zip(documents, rows)],
+                               stem_of, token_counts)
+    terms = extract_terms(documents, stopwords, key)
+    cache.save(path, key.digest(), root, marshal.dumps(([v.counts for v in terms.vectors],
+                                                        terms.stem_of, terms.token_counts)))
+    return terms
 
 
 def _add_text(key, text: str) -> None:
@@ -224,41 +214,6 @@ def _add_text(key, text: str) -> None:
 def _add_document(key, doc_id: str, data: bytes) -> None:
     _add_text(key, doc_id)
     key.update(hashlib.sha256(data).digest())
-
-
-class _KeyedDocument(NamedTuple):
-    """A listed document whose ``read`` also adds it to a corpus ``key``, as
-    ``_add_document`` does, so the key covers the bytes ``extract_terms``
-    decoded."""
-
-    doc: corpus_io.Document
-    key: object  # a hashlib SHA-256 object
-
-    @property
-    def doc_id(self) -> str:
-        return self.doc.doc_id
-
-    def read(self) -> str:
-        data = self.doc.read_bytes()
-        _add_document(self.key, self.doc.doc_id, data)
-        return self.doc.decode(data)
-
-
-def _cached_vectors(value, documents: tuple[corpus_io.Document, ...]) -> TermVectors | None:
-    """The term vectors of ``documents`` in a cache payload, ``marshal.dumps((one
-    stem -> count dict per document, the surface -> stem dict, one token count
-    per document))``, or None when the payload has another shape."""
-    if not (type(value) is tuple and len(value) == 3):
-        return None
-    rows, stem_of, token_counts = value
-    if not (type(rows) is list and type(stem_of) is dict and type(token_counts) is list
-            and len(rows) == len(documents) == len(token_counts)
-            and all(type(row) is dict for row in rows)
-            and all(type(count) is int for count in token_counts)):
-        return None
-    return TermVectors(vectors=[TermVector(doc.doc_id, counts)
-                                for doc, counts in zip(documents, rows)],
-                       stem_of=stem_of, token_counts=token_counts)
 
 
 def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: PipelineConfig

@@ -18,14 +18,14 @@ apostrophes) is held as one marshalled ``bytes`` value, decoded only
 when ``lexical_categories`` is asked for such a word.
 
 A parsed database is cached through ``termsift.cache``, one entry per
-database directory, keyed by the SHA-256 of the five files' contents; a
+database directory, keyed by the source of this module and of
+``termsift.cache`` and by the SHA-256 of the five files' contents; a
 changed database is parsed and checked again. A hit decodes only the
 token-shaped maps and keeps the other lemmas as the bytes it read.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import marshal
 import re
@@ -40,8 +40,8 @@ log = logging.getLogger("termsift.wordnet")
 
 REQUIRED_FILES = ("index.noun", "data.noun", "index.verb", "data.verb", "lexnames")
 
-# Bump the number when WordNetDb or the cache file layout changes; the key covers it.
-_CACHE_TAG = cache.format_tag("wordnet", 3)
+# The code that writes and reads a cached database: an edit to it changes the key.
+_SOURCES = (Path(__file__),)
 
 _VERSION_RE = re.compile(r"WordNet\s+(\d+\.\d+)")
 _NO_CATEGORIES: frozenset[str] = frozenset()
@@ -216,19 +216,21 @@ def load_wordnet(directory: str | Path) -> WordNetDb:
         if not (root / name).is_file():
             raise FileNotFoundError(f"missing WordNet database file: {root / name}")
 
-    path = cache.entry_path("wordnet", root)
-    if path is None:
+    entry = cache.keyed_entry("wordnet", root, _SOURCES)
+    if entry is None:
         return _parse_wordnet(root)
-    key = _content_key(root)
-    db = _cached_db(cache.load(path, key))
-    if db is not None:
+    path, key = entry
+    for name in REQUIRED_FILES:
+        key.update(cache.file_digest(root / name))  # an unreadable file raises
+    value = cache.load(path, key.digest())
+    if value is not None:
         log.info("WordNet cache hit: %s", path)
-        return db
+        return WordNetDb(*value)
     db = _parse_wordnet(root)  # raises on a malformed database, before anything is cached
     log.info("parsed WordNet %s", root)
     # marshal writes each shared category set once and loads it back shared;
     # the other lemmas' maps are already marshalled bytes
-    cache.save(path, key, root, marshal.dumps(db.astuple()))
+    cache.save(path, key.digest(), root, marshal.dumps(db.astuple()))
     return db
 
 
@@ -247,29 +249,6 @@ def _parse_wordnet(root: Path) -> WordNetDb:
         synset_count=len(noun_synsets) + len(verb_synsets),
         version=version_n or version_v or "unknown",
     )
-
-
-def _content_key(root: Path) -> bytes:
-    """SHA-256 over the cache format tag and each required file's own SHA-256."""
-    key = hashlib.sha256(_CACHE_TAG)
-    for name in REQUIRED_FILES:
-        key.update(cache.file_digest(root / name))
-    return key.digest()
-
-
-def _cached_db(value) -> WordNetDb | None:
-    """The database in a cache payload, ``marshal.dumps((noun, verb,
-    other_lemmas, lemma_count, synset_count, version))``, or None when the
-    payload has another shape. ``other_lemmas`` stays bytes: it is not
-    decoded here."""
-    if not (isinstance(value, tuple) and len(value) == 6):
-        return None
-    noun, verb, other_lemmas, lemma_count, synset_count, version = value
-    if not (isinstance(noun, dict) and isinstance(verb, dict)
-            and isinstance(other_lemmas, bytes) and type(lemma_count) is int
-            and type(synset_count) is int and isinstance(version, str)):
-        return None
-    return WordNetDb(*value)
 
 
 def _categories_for(db: WordNetDb, word: str) -> frozenset[str]:

@@ -2,16 +2,15 @@
 run computes, any change to what steps 1-3 read misses, and no cache fault
 fails a run."""
 
-import hashlib
 import logging
-import marshal
+import os
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from termsift import pipeline
+from termsift import cache, pipeline, wordnet
 from termsift.cli import main
 from termsift.corpus import default_stopwords, load_corpus, load_stopwords
 from termsift.pipeline import PipelineConfig, extract_terms, run_chain
@@ -37,9 +36,9 @@ def extracted(monkeypatch) -> list:
     """Every ``extract_terms`` call ``run_chain`` makes, i.e. every cache miss."""
     calls = []
 
-    def spy(documents, stopwords):
+    def spy(documents, stopwords, key=None):
         calls.append(documents)
-        return extract_terms(documents, stopwords)
+        return extract_terms(documents, stopwords, key)
 
     monkeypatch.setattr(pipeline, "extract_terms", spy)
     return calls
@@ -145,19 +144,8 @@ def damage_entry(how: str):
     return damage
 
 
-def reshape_entry(cache_dir: Path) -> None:
-    """An entry under the right key and digest whose payload lacks one document."""
-    [entry] = cache_dir.glob("corpus-*.marshal")
-    data = entry.read_bytes()
-    recorded, _, payload = data[64:].partition(b"\0")
-    rows, stem_of, token_counts = marshal.loads(payload)
-    rest = recorded + b"\0" + marshal.dumps((rows[:-1], stem_of, token_counts[:-1]))
-    entry.write_bytes(data[:32] + hashlib.sha256(rest).digest() + rest)
-
-
 @pytest.mark.parametrize("change", [
-    "byte", "doc-id", "stopwords", "code", "truncated-entry", "bit-flipped-entry",
-    "wrongly-shaped-entry"])
+    "byte", "doc-id", "stopwords", "code", "truncated-entry", "bit-flipped-entry"])
 def test_a_change_misses_and_equals_a_cold_run(mini, tmp_path, cache_dir, monkeypatch,
                                                extracted, change):
     chain_terms(mini)
@@ -184,8 +172,6 @@ def test_a_change_misses_and_equals_a_cold_run(mini, tmp_path, cache_dir, monkey
         edited.write_text(source + "# edited\n", encoding="utf-8")
         monkeypatch.setattr(pipeline, "_STEP_SOURCES", tuple(
             edited if p.name == "porter.py" else p for p in pipeline._STEP_SOURCES))
-    elif change == "wrongly-shaped-entry":
-        reshape_entry(cache_dir)
     else:
         damage_entry(change.split("-")[0])(cache_dir)
     expected = uncached_terms(mini, stopwords=stopwords)
@@ -205,9 +191,9 @@ def test_a_document_edited_between_the_two_reads_is_keyed_by_what_was_read_last(
     hashed = doc.read_bytes()
     spy = pipeline.extract_terms
 
-    def edit_then_extract(documents, stopwords):
+    def edit_then_extract(documents, stopwords, key=None):
         doc.write_bytes(hashed + b" harvest harvest\n")
-        return spy(documents, stopwords)
+        return spy(documents, stopwords, key)
 
     monkeypatch.setattr(pipeline, "extract_terms", edit_then_extract)
     assert_identical(chain_terms(mini), uncached_terms(mini))
@@ -238,17 +224,42 @@ def test_documents_are_read_once_unless_a_stale_entry_exists(mini, monkeypatch, 
     assert len(extracted) == 2
 
 
-def test_code_fingerprint_reads_the_step_modules():
+def test_code_fingerprint_reads_the_step_modules(mini, wordnet_dir, monkeypatch):
     names = sorted(p.name for p in pipeline._STEP_SOURCES)
     assert names == ["corpus.py", "pipeline.py", "porter.py", "textprep.py"]
     assert all(p.is_file() for p in pipeline._STEP_SOURCES)
+    assert [p.name for p in wordnet._SOURCES] == ["wordnet.py"]
+    assert all(p.is_file() for p in wordnet._SOURCES)
+    # each key starts with the cache module's source, then its caller's
+    hashed = []
+    file_digest = cache.file_digest
+    monkeypatch.setattr(cache, "file_digest",
+                        lambda path: hashed.append(Path(path)) or file_digest(path))
+    chain_terms(mini)
+    assert hashed == [Path(cache.__file__), *pipeline._STEP_SOURCES]
+    hashed.clear()
+    wordnet.load_wordnet(wordnet_dir)
+    assert hashed[:2] == [Path(cache.__file__), *wordnet._SOURCES]
 
 
-@pytest.mark.parametrize("blocker", ["file", "entry-is-directory"])
-def test_unwritable_cache_still_exits_0(capsys, mini, tmp_path, cache_dir, caplog, blocker):
+@pytest.mark.parametrize("blocker", ["file", "entry-is-directory", "no-permission"])
+def test_unwritable_cache_still_exits_0(capsys, mini, tmp_path, cache_dir, caplog, monkeypatch,
+                                        blocker):
     if blocker == "file":
         cache_dir.parent.mkdir()
         cache_dir.write_text("not a directory\n")
+    elif blocker == "no-permission":
+        # what a directory without search permission gives a non-root user,
+        # e.g. one an earlier `sudo termsift` created: stat fails with EACCES
+        cache_dir.mkdir(parents=True)
+        stat = os.stat
+
+        def refuse(path, *args, **kwargs):
+            if str(path).startswith(str(cache_dir)):
+                raise PermissionError(13, "Permission denied", str(path))
+            return stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", refuse)
     else:
         cache_dir.mkdir(parents=True)
         (cache_dir / pipeline.cache.entry_path("corpus", mini).name).mkdir()

@@ -1,10 +1,16 @@
 import csv
+import itertools
 import json
 import os
 import shutil
+import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import termsift
 from termsift.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -306,6 +312,35 @@ class TestValidation:
         code, _, err = run(capsys, "stats", str(corpus), "--config", str(cfg))
         assert code == EXIT_DATA
         assert f"{cfg}:2: not valid UTF-8" in err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["preprocess", "stem"])
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, command):
+        """``termsift ... | head -1``: the reader closes the pipe after one line,
+        while the command still has far more to write than a pipe holds. The
+        exit code is the shell's for ``cat`` there, 128 + SIGPIPE."""
+        words = ["".join(w) for w in itertools.islice(
+            itertools.product(string.ascii_lowercase, repeat=6), 20_000)]
+        if command == "stem":
+            argv = ["stem", *words]
+        else:
+            corpus = tmp_path / "corpus"
+            corpus.mkdir()
+            for i in range(40):
+                (corpus / f"doc{i:02d}.txt").write_text(" ".join(words[i * 500:][:500]))
+            argv = ["preprocess", str(corpus)]
+        src = Path(termsift.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from termsift.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src), "XDG_CACHE_HOME": str(tmp_path / "xdg")})
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 class TestStemAndLex:

@@ -221,14 +221,15 @@ class TestCache:
         assert len({id(c) for c in sets}) == len(set(sets))  # equal sets stay one object
 
     def test_format_3_entry_is_a_hit(self, db_dir, tmp_path, monkeypatch):
-        # the layout every entry since format 3 has, built here by hand
+        # the entry layout (unchanged since the WordNet cache's format 3) and its
+        # key, built here by hand
         parsed = load_wordnet(db_dir)
         [entry] = self.entries(tmp_path)
-        tag = (f"termsift wordnet cache 3, marshal {marshal.version}, "
-               f"python {sys.version_info[0]}.{sys.version_info[1]}").encode()
-        key = hashlib.sha256(tag)
-        for name in REQUIRED_FILES:
-            key.update(hashlib.sha256((db_dir / name).read_bytes()).digest())
+        key = hashlib.sha256(f"termsift wordnet cache, marshal {marshal.version}, python "
+                             f"{sys.version_info[0]}.{sys.version_info[1]}".encode())
+        for path in (Path(cache_mod.__file__), Path(wordnet.__file__),
+                     *(db_dir / name for name in REQUIRED_FILES)):
+            key.update(hashlib.sha256(path.read_bytes()).digest())
         rest = os.fsencode(db_dir.resolve()) + b"\0" + marshal.dumps(parsed.astuple())
         assert entry.read_bytes() == key.digest() + hashlib.sha256(rest).digest() + rest
         self.forbid_parse(monkeypatch)
@@ -258,18 +259,6 @@ class TestCache:
         assert load_wordnet(db_dir) == parsed
         assert entry.read_bytes() == good
 
-    def test_unexpected_payload_shape_is_a_miss(self, db_dir, tmp_path, monkeypatch):
-        parsed = load_wordnet(db_dir)
-        [entry] = self.entries(tmp_path)
-        key = entry.read_bytes()[:32]
-        rest = (os.fsencode(db_dir.resolve()) + b"\0"
-                + marshal.dumps((parsed.noun, parsed.verb, parsed.other_lemmas,
-                                 parsed.lemma_count, "45", parsed.version)))
-        entry.write_bytes(key + hashlib.sha256(rest).digest() + rest)
-        assert load_wordnet(db_dir) == parsed
-        self.forbid_parse(monkeypatch)
-        assert load_wordnet(db_dir) == parsed  # the rewritten entry is a hit
-
     @pytest.mark.parametrize("body, decoded", [
         (b"no separator before the payload", 0),
         (b"/db\0\xffnot marshal data", 1),
@@ -287,28 +276,27 @@ class TestCache:
         assert len(calls) == decoded  # an entry with no NUL is not decoded at all
         assert entry.read_bytes() == good
 
-    @pytest.mark.parametrize("key", ["format-2-key", "current-key"])
-    def test_format_2_entry_is_a_miss_and_rewritten(self, db_dir, tmp_path, key):
+    def test_edited_wordnet_module_is_a_miss_and_rewritten(self, db_dir, tmp_path,
+                                                           monkeypatch):
         parsed = load_wordnet(db_dir)
         [entry] = self.entries(tmp_path)
         good = entry.read_bytes()
-        # what format 2 wrote: every lemma in one map per part of speech
-        other_noun, other_verb = marshal.loads(parsed.other_lemmas)
-        payload = marshal.dumps(({**parsed.noun, **other_noun}, {**parsed.verb, **other_verb},
-                                 parsed.synset_count, parsed.version))
-        if key == "format-2-key":
-            tag = wordnet._CACHE_TAG.replace(b"wordnet cache 3,", b"wordnet cache 2,")
-            assert tag != wordnet._CACHE_TAG
-            digest = hashlib.sha256(tag)
-            for name in REQUIRED_FILES:
-                digest.update(hashlib.sha256((db_dir / name).read_bytes()).digest())
-            head = digest.digest()
-        else:
-            head = good[:32]
-        rest = os.fsencode(db_dir.resolve()) + b"\0" + payload
-        entry.write_bytes(head + hashlib.sha256(rest).digest() + rest)
+        # an edited reader: the same code and a comment, in another file
+        edited = tmp_path / "wordnet.py"
+        edited.write_text(Path(wordnet.__file__).read_text(encoding="utf-8") + "# edited\n",
+                          encoding="utf-8")
+        monkeypatch.setattr(wordnet, "_SOURCES", (edited,))
+        parses = []
+        parse = wordnet._parse_wordnet
+        monkeypatch.setattr(wordnet, "_parse_wordnet",
+                            lambda root: parses.append(root) or parse(root))
         assert load_wordnet(db_dir) == parsed
-        assert entry.read_bytes() == good
+        assert len(parses) == 1
+        rewritten = entry.read_bytes()
+        assert rewritten[:32] != good[:32]
+        assert rewritten[32:] == good[32:]
+        self.forbid_parse(monkeypatch)
+        assert load_wordnet(db_dir) == parsed  # the rewritten entry is a hit
 
     def test_hit_leaves_the_other_lemmas_undecoded(self, db_dir, tmp_path, monkeypatch):
         load_wordnet(db_dir)
