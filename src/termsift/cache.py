@@ -12,23 +12,25 @@ adds everything the value was computed from. So a changed input, layout,
 payload shape or interpreter misses, and a hit holds the shape its
 reader expects.
 
-The cache never fails a run: an unreadable, stale or corrupt entry reads
-as a miss, and a failed write or removal is logged and ignored. Every
-write also removes the entries of either kind whose recorded directory
-no longer exists.
+An entry is written through ``weighting.replacing``, as every other file
+termsift writes, and only its owner may read or write it: 0600, in a
+0700 directory. The cache never fails a run: an unreadable, stale or corrupt
+entry reads as a miss, and a failed write or removal is logged and
+ignored. Every write also removes the entries of either kind whose
+recorded directory no longer exists.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import logging
 import marshal
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Any
+
+from termsift import weighting
 
 log = logging.getLogger("termsift.cache")
 
@@ -115,24 +117,17 @@ def save(path: Path, key: bytes, directory: Path, payload: bytes) -> None:
 
 
 def _write(path: Path, key: bytes, directory: Path, payload: bytes) -> None:
-    """Write the entry to a temporary file beside ``path`` and rename it into
-    place, so a reader sees the old entry or the whole new one."""
+    """Write the entry through ``weighting.replacing``, owner-only, so a
+    reader sees the old entry or the whole new one."""
     path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            recorded = os.fsencode(directory) + b"\0"
-            digest = hashlib.sha256(recorded)
-            digest.update(payload)
-            f.write(key)
-            f.write(digest.digest())
-            f.write(recorded)
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    recorded = os.fsencode(directory) + b"\0"
+    digest = hashlib.sha256(recorded)
+    digest.update(payload)
+    with weighting.replacing(path, "wb", 0o600) as f:
+        f.write(key)
+        f.write(digest.digest())
+        f.write(recorded)
+        f.write(payload)
 
 
 def prune(cache_dir: Path) -> None:

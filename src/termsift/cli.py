@@ -10,7 +10,8 @@ Subcommands:
 
 Options can come from a flat key=value config file (``--config``); flags
 win over the file. The WordNet directory falls back to $WNSEARCHDIR when
-no flag or config key names it; an empty value counts as none.
+no flag or config key names it. An empty path (corpus, stop words, out,
+WordNet directory or $WNSEARCHDIR) counts as none.
 
 Exit codes: 0 success, 1 usage error, 2 input data error, 3 internal error,
 141 (128 + SIGPIPE, as a shell reports for ``cat``) when standard output is
@@ -159,6 +160,8 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
                 raise ValueError(f"{where}: invalid value for {key!r}: {exc}") from exc
     values.update({key: getattr(args, key) for key in _CONFIG_KEYS
                    if getattr(args, key, None) is not None})
+    values = {key: value for key, value in values.items()  # an empty path counts as unset
+              if value != "" or key not in ("corpus", "stopwords", "out")}
     if args.corpus_pos:
         if args.corpus is not None:
             raise _UsageExit("give the corpus directory once, as the positional or --corpus")

@@ -204,18 +204,14 @@ def load_stopwords(path: str | Path) -> StopwordList:
     if not p.is_file():
         raise FileNotFoundError(f"stopword file not found: {p}")
     raw = p.read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bad byte's line: the sentinel joins a partial last line or starts the next one
-        lineno = len((raw[:exc.start] + b"x").splitlines())
-        raise ValueError(f"{p}:{lineno}: not valid UTF-8") from exc
     words = set()
-    for line in text.splitlines():
-        word = line.strip().lower()
-        if not word or word.startswith("#"):
-            continue
-        words.add(word)
+    for lineno, line in enumerate(raw.splitlines(), 1):  # \n, \r and \r\n alone end a line
+        try:
+            word = line.decode("utf-8").strip().lower()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{p}:{lineno}: not valid UTF-8") from exc
+        if word and not word.startswith("#"):
+            words.add(word)
     return StopwordList(words=frozenset(words), sha256=hashlib.sha256(raw).hexdigest())
 
 

@@ -254,7 +254,7 @@ def run_chain(config: PipelineConfig, last_step: int = 5) -> PipelineResult:
     config.validate()
     with _stage_errors("load_corpus"):
         corpus = corpus_io.load_corpus(config.corpus_path, config.layout)
-    name = Path(config.corpus_path).name
+    name = os.path.basename(os.path.abspath(config.corpus_path))  # also of "." and "a/.."
     if last_step == 1:
         with _stage_errors("load_corpus"):
             token_counts = [len(tokenize(d.read())) for d in corpus]
@@ -362,14 +362,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
 
 def _write_outputs(config: PipelineConfig, result: PipelineResult) -> dict[str, Path]:
-    """Every artifact but the matrices, each through a temporary file renamed into
-    place; ``metadata.json`` goes last, so no run that failed before it has one."""
+    """Every artifact but the matrices, each through ``weighting.replacing``;
+    ``metadata.json`` goes last, so no run that failed before it has one."""
     out_dir = Path(config.out_dir)
     artifacts: dict[str, Path] = {}
 
     def write(key: str, filename: str, text: str) -> None:
         path = artifacts[key] = out_dir / filename
-        with weighting._replacing(path) as f:
+        with weighting.replacing(path) as f:
             f.write(text)
 
     for fmt, filename in (("plain-text", "report.txt"), ("csv", "report.csv"),

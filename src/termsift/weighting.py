@@ -1,4 +1,5 @@
-"""Document frequencies, the three weighting schemes and key-term selection.
+"""Document frequencies, the three weighting schemes, key-term selection,
+and ``replacing``, the writer of every file termsift writes.
 
 Weights are defined over relative term frequency TF = f/total and
 normalized document frequency DF = df/|D|:
@@ -229,11 +230,14 @@ def csv_field(value: str) -> str:
 
 
 @contextmanager
-def _replacing(out: Path):
-    """A text file that becomes ``out`` only when the block completes: it is
-    written beside ``out`` and renamed over it, and removed on any error."""
+def replacing(out: Path, mode: str = "w", perms: int = 0o666):
+    """A UTF-8 text ("w") or binary ("wb") file that becomes ``out`` only when
+    the block completes: created as ``.<name>.<8 hex>.tmp`` beside ``out`` with
+    ``perms`` (before the umask), renamed over ``out``, removed on any error."""
     tmp = out.with_name(f".{out.name}.{os.urandom(4).hex()}.tmp")
-    f = open(tmp, "x", encoding="utf-8")  # "x": never truncate a file this call did not make
+    # "x": never truncate a file this call did not make
+    f = open(tmp, mode.replace("w", "x"), encoding=None if "b" in mode else "utf-8",
+             opener=lambda path, flags: os.open(path, flags, perms))
     try:
         with f:
             yield f
@@ -273,7 +277,7 @@ def export_matrix(
     else:
         keep = range(len(vocabulary))
     rows = zip(map(csv_field, index.doc_ids), index.term_ids, index.tf)
-    with _replacing(out) as f:
+    with replacing(out) as f:
         if fmt == "csv":
             column: list[int | None] = [None] * len(vocabulary)
             for c, j in enumerate(keep):

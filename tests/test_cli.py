@@ -601,6 +601,69 @@ class TestReusedOut:
         assert all((out_dir / name).read_text() == "kept\n" for name in others)
 
 
+class TestDatasetName:
+    """A corpus given as ``.`` or a path ending in ``..`` is named after the
+    directory it is, the last component of its absolute path."""
+
+    def outputs(self, capsys, monkeypatch, given: str, cwd: Path, out_dir: Path):
+        """What ``stats`` prints and the three reports ``select`` writes."""
+        monkeypatch.chdir(cwd)
+        code, stats, _ = run(capsys, "stats", given, "--layout", "class-subdirectories")
+        assert code == EXIT_OK
+        assert run(capsys, "select", given, "--layout", "class-subdirectories",
+                   "--wordnet-policy", "off", "--out", str(out_dir))[0] == EXIT_OK
+        return stats, [(out_dir / name).read_bytes()
+                       for name in ("report.txt", "report.csv", "report.json")]
+
+    @pytest.mark.parametrize("given, cwd", [(".", "corpus"), ("..", "corpus/alpha"),
+                                            ("corpus/alpha/..", ".")])
+    def test_dot_paths_name_the_directory(self, capsys, corpus, tmp_path, monkeypatch,
+                                          given, cwd):
+        monkeypatch.delenv("WNSEARCHDIR", raising=False)
+        expected = self.outputs(capsys, monkeypatch, str(corpus), tmp_path, tmp_path / "named")
+        assert expected[0].startswith("dataset\tcorpus\n")
+        assert all(b"corpus" in report for report in expected[1])
+        assert self.outputs(capsys, monkeypatch, given, tmp_path / cwd,
+                            tmp_path / "out") == expected
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+class TestEmptyPathSettings:
+    """An empty corpus, stop-word or output path counts as not set, as a flag
+    or as a config key, as an empty WordNet directory does."""
+
+    @staticmethod
+    def empty(tmp_path: Path, via: str, key: str) -> list[str]:
+        if via == "flag":
+            return [f"--{key}", ""]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} =\n")
+        return ["--config", str(cfg)]
+
+    def test_empty_corpus_is_a_usage_error(self, capsys, tmp_path, monkeypatch, via):
+        monkeypatch.chdir(tmp_path)  # a directory with a document, never to be listed
+        (tmp_path / "doc.txt").write_text("wheat harvest\n")
+        code, out, err = run(capsys, "stats", *self.empty(tmp_path, via, "corpus"))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "a corpus directory is required" in err
+
+    def test_empty_out_is_the_default(self, capsys, corpus, tmp_path, monkeypatch, via):
+        monkeypatch.delenv("WNSEARCHDIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "select", str(corpus), "--layout", "class-subdirectories",
+                           *self.empty(tmp_path, via, "out"))
+        assert code == EXIT_OK
+        assert out.endswith("artifacts written to termsift-out\n")
+        assert (tmp_path / "termsift-out" / "metadata.json").is_file()
+        assert not (tmp_path / "metadata.json").exists()
+
+    def test_empty_stopwords_is_the_bundled_list(self, capsys, corpus, tmp_path, via):
+        args = ("preprocess", str(corpus), "--layout", "class-subdirectories")
+        bundled = run(capsys, *args)
+        assert bundled[0] == EXIT_OK
+        assert run(capsys, *args, *self.empty(tmp_path, via, "stopwords")) == bundled
+
+
 class TestConfigFile:
     def test_flags_override_config(self, capsys, corpus, tmp_path, monkeypatch):
         monkeypatch.delenv("WNSEARCHDIR", raising=False)

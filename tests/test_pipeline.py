@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from termsift import corpus as corpus_io
 from termsift import pipeline, porter, weighting, wordnet
-from termsift.corpus import StopwordList, load_corpus
+from termsift.corpus import StopwordList, load_corpus, load_stopwords
 from termsift.pipeline import (
     PipelineConfig, extract_terms, run_chain, run_pipeline, run_weigh,
 )
@@ -388,6 +388,17 @@ class TestStageLog:
         with caplog.at_level(logging.INFO, logger="termsift.pipeline"):
             run_chain(config_for(corpus, tmp_path, stopword_path=str(sw)), last_step=3)
         assert ("loaded corpus corpus: 4 documents; stopword list: 5 words, 3 of which "
+                "can never match a token") in caplog.messages
+
+    def test_stop_word_lines_end_only_at_line_breaks(self, corpus, tmp_path, caplog):
+        # \f and U+0085 end a line for str.splitlines, but as in the config and
+        # manifest files only \n, \r and \r\n end one
+        sw = tmp_path / "sw.txt"
+        sw.write_text("the\fand\nof\u0085it\n", encoding="utf-8")
+        assert load_stopwords(sw).words == {"the\fand", "of\u0085it"}
+        with caplog.at_level(logging.INFO, logger="termsift.pipeline"):
+            run_chain(config_for(corpus, tmp_path, stopword_path=str(sw)), last_step=3)
+        assert ("loaded corpus corpus: 4 documents; stopword list: 2 words, 2 of which "
                 "can never match a token") in caplog.messages
 
     def test_vocab_before_after_logged(self, corpus, tmp_path, wordnet_dir, caplog):

@@ -315,9 +315,13 @@ class TestCache:
             cache.parent.mkdir()
             cache.write_text("not a directory\n")
         elif blocker == "no-permission":  # what a read-only directory gives a non-root user
-            def refuse(*_, **__):
-                raise PermissionError(13, "Permission denied")
-            monkeypatch.setattr(cache_mod.tempfile, "mkstemp", refuse)
+            os_open = os.open
+
+            def refuse(path, *args, **kwargs):  # the writer's temporary file, beside the entry
+                if os.path.dirname(path) == str(cache) and str(path).endswith(".tmp"):
+                    raise PermissionError(13, "Permission denied", str(path))
+                return os_open(path, *args, **kwargs)
+            monkeypatch.setattr(os, "open", refuse)
         else:
             cache.mkdir(parents=True)
             (cache / cache_mod.entry_path("wordnet", db_dir).name).mkdir()

@@ -56,7 +56,9 @@ in this checkout, first with an empty cache (steps 1-3 run, the database
 is parsed, and each writes its cache entry) and then with the cache
 warm, and both runs are compared with the old tree's. A cold run that
 exits 0 without writing the corpus entry, or the WordNet entry of a
-case that names a database, differs.
+case that names a database, differs, and so does any run in this
+checkout, failed or not, that leaves a ``*.tmp`` file under its working
+directory or its cache directory.
 
 Prints one line per comparison, naming for each case that differs the
 first file (or the exit code, output or error) that does. Runs every
@@ -280,6 +282,9 @@ def main() -> int:
                 if (diff is None and cache_state == "cold cache" and new.returncode == 0
                         and missing):
                     diff = f"no {' or '.join(missing)} cache entry written"
+                left = [p for d in (new_cwd, new_cache) for p in sorted(d.rglob("*.tmp"))]
+                if diff is None and left:
+                    diff = f"temporary file {left[0]} left behind"
                 compared += 1
                 if diff is None:
                     print(f"same: {label} (exit {new.returncode})")
