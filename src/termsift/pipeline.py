@@ -247,6 +247,18 @@ def build_vocabulary(terms: TermVectors, db: wordnet.WordNetDb | None, config: P
     return index, annotations
 
 
+def _dataset_name(corpus_path: str) -> str:
+    """The name of the directory ``corpus_path`` reaches, also of ``.`` and
+    ``a/..``: the last component of the path as written, unless that path
+    reaches another directory (``link/..`` is the parent of the link's
+    target), which is then named by its resolved path. A symlinked corpus
+    keeps its own name."""
+    lexical = os.path.abspath(corpus_path)
+    if os.path.exists(lexical) and os.path.samefile(lexical, corpus_path):
+        return os.path.basename(lexical)
+    return os.path.basename(os.path.realpath(corpus_path))
+
+
 def run_chain(config: PipelineConfig, last_step: int = 5) -> PipelineResult:
     """Validate ``config`` and run the chain through ``last_step``: 1 (the corpus
     summary's token counts), 3 (the term vectors) or 5 (the floored index that
@@ -254,7 +266,7 @@ def run_chain(config: PipelineConfig, last_step: int = 5) -> PipelineResult:
     config.validate()
     with _stage_errors("load_corpus"):
         corpus = corpus_io.load_corpus(config.corpus_path, config.layout)
-    name = os.path.basename(os.path.abspath(config.corpus_path))  # also of "." and "a/.."
+    name = _dataset_name(config.corpus_path)
     if last_step == 1:
         with _stage_errors("load_corpus"):
             token_counts = [len(tokenize(d.read())) for d in corpus]

@@ -12,10 +12,11 @@ A term is a key term when its aggregated weight (max over documents by
 default) clears the scheme's threshold.
 
 The index holds one row per document: its term ids in ascending order and
-their TF values, each row a flat ``array`` of C ints or doubles. A matrix
-stores no weight: it pairs the index with its scheme's formula, and
-selection and export compute each cell's weight from the index row they
-read, in (doc, term) order.
+their TF values, each row a flat ``array`` of C ints or doubles, and each
+term's largest TF. A matrix stores no weight: it pairs the index with its
+scheme's formula. Export computes each cell's weight from the index row it
+reads, in (doc, term) order; ``max`` selection reads only each term's
+largest TF, and ``mean`` selection every cell.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import math
 import os
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Container, Mapping
 from contextlib import contextmanager, suppress
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -43,13 +46,15 @@ class CorpusIndex(NamedTuple):
     Row ``i`` is ``term_ids[i]``, the document's term ids in ascending
     order as an ``array('i')``, with ``tf[i]``, their relative frequencies
     ``f / total`` as an ``array('d')``: 4 and 8 bytes a cell, where a tuple
-    of boxed floats takes about 32."""
+    of boxed floats takes about 32. ``max_tf[j]`` is the largest TF of term
+    j over the rows, 0.0 for a term in none, also an ``array('d')``."""
 
     vocabulary: tuple[str, ...]
     doc_ids: tuple[str, ...]
     df: tuple[int, ...]  # documents containing each term id
     term_ids: tuple[array, ...]
     tf: tuple[array, ...]
+    max_tf: array
 
     @property
     def doc_count(self) -> int:
@@ -119,33 +124,40 @@ def removed_percentage(removed: int, vocabulary_size: int) -> str:
 
 def build_index(vectors: Sequence[TermVector], keep: Container[str] | None = None
                 ) -> CorpusIndex:
-    """Vocabulary (sorted), per-term document frequencies and the document rows.
+    """Vocabulary (sorted), per-term document frequencies, the document rows
+    and each term's largest TF.
 
     With ``keep``, only the terms in it are indexed. Each row's TF divides
     by the document's count of indexed terms."""
     if not vectors:
         raise EmptyCorpusError("cannot build an index from zero documents")
-    df: dict[str, int] = {}
-    for v in vectors:
-        for term in v.counts:
-            df[term] = df.get(term, 0) + 1
+    df = Counter(chain.from_iterable(v.counts for v in vectors))
     # a term's df does not depend on the other terms, so restricting after counting is exact
     vocabulary = tuple(sorted(df if keep is None else [t for t in df if t in keep]))
     ids = {t: j for j, t in enumerate(vocabulary)}
     term_ids, tf = [], []
+    # repeating one item makes no temporary V-double buffer, as bytes(8 * V)
+    # would: that buffer raised a select's peak RSS by about 0.5 MB
+    max_tf = array("d", [0.0]) * len(vocabulary)
     for v in vectors:
         # the vocabulary is sorted, so sorted terms give ascending ids
         counts = v.counts
         terms = sorted(counts) if keep is None else sorted([t for t in counts if t in ids])
         total = sum([counts[t] for t in terms])
-        term_ids.append(array("i", [ids[t] for t in terms]))
-        tf.append(array("d", [counts[t] / total for t in terms]))
+        row = array("i", [ids[t] for t in terms])
+        tfs = array("d", [counts[t] / total for t in terms])
+        for j, x in zip(row, tfs):
+            if x > max_tf[j]:
+                max_tf[j] = x
+        term_ids.append(row)
+        tf.append(tfs)
     return CorpusIndex(
         vocabulary=vocabulary,
         doc_ids=tuple(v.doc_id for v in vectors),
         df=tuple(df[t] for t in vocabulary),
         term_ids=tuple(term_ids),
         tf=tuple(tf),
+        max_tf=max_tf,
     )
 
 
@@ -174,19 +186,25 @@ def compute_matrix(index: CorpusIndex, scheme: str, log_base: float = math.e) ->
 
 
 def select_key_terms(matrix: WeightMatrix, threshold: float, aggregation: str = "max") -> KeyTermSet:
-    """Terms whose aggregated weight is >= threshold."""
+    """Terms whose aggregated weight is >= threshold.
+
+    ``max`` reads one weight a term, ``weight(index.max_tf[j], j)``, which is
+    the largest of its cells only because ``matrix.weight`` does not decrease
+    as TF grows. ``compute_matrix``'s formulas, at a log base above 1, only
+    multiply and divide TF by non-negative factors, and IEEE rounding is
+    monotone, so theirs never does. A term with no cell (df 0) is never kept.
+    ``mean`` reads every cell."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     index, weight = matrix.index, matrix.weight
-    rows = zip(index.term_ids, index.tf)
     if aggregation == "max":
-        # a term's maximum reaches the threshold exactly when one of its cells does
-        ids = {j for row, tfs in rows for j, tf in zip(row, tfs) if weight(tf, j) >= threshold}
+        ids = [j for j, (tf, d) in enumerate(zip(index.max_tf, index.df))
+               if d and weight(tf, j) >= threshold]
     elif aggregation == "mean":
         # each term's sum, from 0 with its weights added in document order, over
         # its df: a term has one cell in each document that holds it
         sums = [0.0] * len(index.vocabulary)
-        for row, tfs in rows:
+        for row, tfs in zip(index.term_ids, index.tf):
             for j, tf in zip(row, tfs):
                 sums[j] += weight(tf, j)
         ids = {j for j, (total, d) in enumerate(zip(sums, index.df))
@@ -295,8 +313,10 @@ def export_matrix(
                 f.write(doc_id + zero_row if cells is None
                         else ",".join([doc_id, *cells]) + "\n")
         else:
-            kept = set(keep)
+            kept: list[str | None] = [None] * len(vocabulary)  # each kept term at its id
+            for j in keep:
+                kept[j] = vocabulary[j]
             for doc_id, ids, tfs in rows:
-                f.write("".join([f"{doc_id},{vocabulary[j]},{weight(tf, j):.10g}\n"
-                                 for j, tf in zip(ids, tfs) if j in kept]))
+                f.write("".join([f"{doc_id},{t},{weight(tf, j):.10g}\n"
+                                 for j, tf in zip(ids, tfs) if (t := kept[j]) is not None]))
     return out

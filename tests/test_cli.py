@@ -603,7 +603,7 @@ class TestReusedOut:
 
 class TestDatasetName:
     """A corpus given as ``.`` or a path ending in ``..`` is named after the
-    directory it is, the last component of its absolute path."""
+    directory it reaches, also when a symlink comes before the ``..``."""
 
     def outputs(self, capsys, monkeypatch, given: str, cwd: Path, out_dir: Path):
         """What ``stats`` prints and the three reports ``select`` writes."""
@@ -624,6 +624,31 @@ class TestDatasetName:
         assert expected[0].startswith("dataset\tcorpus\n")
         assert all(b"corpus" in report for report in expected[1])
         assert self.outputs(capsys, monkeypatch, given, tmp_path / cwd,
+                            tmp_path / "out") == expected
+
+    @pytest.mark.parametrize("given", ["link/..", "link/../.", "link/../beta/.."])
+    def test_dot_dot_after_a_symlink_names_the_targets_parent(self, capsys, corpus, tmp_path,
+                                                          monkeypatch, given):
+        # the kernel resolves link/.. to corpus, the parent of the link's target;
+        # dropping "link/.." lexically names the working directory, cwd
+        monkeypatch.delenv("WNSEARCHDIR", raising=False)
+        (tmp_path / "cwd").mkdir()
+        (tmp_path / "cwd" / "link").symlink_to(corpus / "alpha", target_is_directory=True)
+        expected = self.outputs(capsys, monkeypatch, str(corpus), tmp_path, tmp_path / "named")
+        assert self.outputs(capsys, monkeypatch, given, tmp_path / "cwd",
+                            tmp_path / "out") == expected
+
+    @pytest.mark.parametrize("given", ["symcorpus/.", "symcorpus/alpha/.."])
+    def test_a_symlinked_corpus_keeps_its_own_name(self, capsys, corpus, tmp_path,
+                                                   monkeypatch, given):
+        # symcorpus/alpha/.. is the corpus itself, which the path names symcorpus
+        monkeypatch.delenv("WNSEARCHDIR", raising=False)
+        (tmp_path / "cwd").mkdir()
+        link = tmp_path / "cwd" / "symcorpus"
+        link.symlink_to(corpus, target_is_directory=True)
+        expected = self.outputs(capsys, monkeypatch, str(link), tmp_path, tmp_path / "named")
+        assert expected[0].startswith("dataset\tsymcorpus\n")
+        assert self.outputs(capsys, monkeypatch, given, tmp_path / "cwd",
                             tmp_path / "out") == expected
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from termsift import weighting
 from termsift.errors import EmptyCorpusError
+from termsift.pipeline import LOG_BASES
 from termsift.textprep import TermVector
 from termsift.weighting import (
     AGGREGATIONS,
@@ -291,11 +293,14 @@ class TestSelection:
         for ids, ws in zip(term_ids, weights):
             for j, w in zip(ids, ws):
                 columns.setdefault(j, []).append(w)
-        # the drawn weights stand in the tf rows, and the formula returns them
+        # the drawn weights stand in the tf rows, and the formula returns them;
+        # a term with no cell has largest TF 0.0, which threshold 0.0 reaches
         index = CorpusIndex(tuple(f"t{j}" for j in range(n_terms + 1)),
                             tuple(f"d{i}" for i in range(n_docs)),
                             tuple(len(columns.get(j, ())) for j in range(n_terms + 1)),
-                            tuple(term_ids), tuple(weights))
+                            tuple(term_ids), tuple(weights),
+                            array("d", [max(columns.get(j, ()), default=0.0)
+                                        for j in range(n_terms + 1)]))
         matrix = WeightMatrix("tfidf", index, lambda tf, j: tf)
         if aggregation == "max":
             aggregate = {j: max(ws) for j, ws in columns.items()}
@@ -310,6 +315,20 @@ class TestSelection:
                 threshold = data.draw(st.sampled_from(at_a_mean))
         expected = {f"t{j}" for j, a in aggregate.items() if a >= threshold}
         assert select_key_terms(matrix, threshold, aggregation).terms == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), scheme=st.sampled_from(SCHEMES),
+           base=st.sampled_from(sorted(LOG_BASES.values())))
+    def test_weights_do_not_decrease_as_tf_grows(self, data, scheme, base):
+        # max selection reads each term's weight at its largest TF only
+        n = data.draw(st.integers(1, 10**6))
+        d = data.draw(st.integers(1, n))
+        index = CorpusIndex(("t",), ("d",) * n, (d,), (), (), array("d", [0.0]))
+        weight = compute_matrix(index, scheme, log_base=base).weight
+        low = data.draw(st.floats(0, 1))
+        high = data.draw(st.one_of(
+            st.just(low), st.just(math.nextafter(low, math.inf)), st.floats(low, 1)))
+        assert weight(low, 0) <= weight(high, 0)
 
     def test_mean_memory_follows_the_terms_not_the_cells(self):
         # 500 documents x 200 of 2,000 terms: 100,000 cells, 50 per term

@@ -12,6 +12,8 @@ always differs. The cases:
 - ``select`` on the bundled minicorpus with WordNet off
 - the same with ``--format csv --aggregation mean --gamma 0.001``
 - the same with ``--log-base 2 --aggregation mean``
+- the same under the default ``max`` aggregation with ``--log-base 2``, and
+  with ``--log-base 10``
 - the same with ``--alpha 1e9 --beta 1e9 --gamma 1e9``, so no scheme
   keeps a term, once with ``--format csv`` and once with
   ``--format coordinate-triplet`` (CSVs of bare document ids under a
@@ -165,6 +167,9 @@ def cases(work: Path) -> list[tuple[str, list[str]]]:
                  "--gamma", "0.001"]),
         ("minicorpus, WordNet off, log base 2, mean",
          base + ["--wordnet-policy", "off", "--log-base", "2", "--aggregation", "mean"]),
+        *((f"minicorpus, WordNet off, log base {log_base}, max",
+           base + ["--wordnet-policy", "off", "--log-base", log_base])
+          for log_base in ("2", "10")),
         *((f"minicorpus, WordNet off, empty key sets, {fmt}",
            base + ["--wordnet-policy", "off", "--alpha", "1e9", "--beta", "1e9",
                    "--gamma", "1e9", "--format", fmt])
